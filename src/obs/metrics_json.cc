@@ -1,58 +1,8 @@
 #include "obs/metrics_json.h"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <system_error>
 
 namespace hematch::obs {
-
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char ch : text) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) {
-    return "0";
-  }
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  if (ec != std::errc()) {
-    return "0";
-  }
-  return std::string(buf, ptr);
-}
 
 namespace {
 
@@ -170,307 +120,87 @@ std::string TelemetryToJson(const TelemetrySnapshot& snapshot, int indent,
 
 namespace {
 
-// Minimal recursive-descent parser for the exporter's dialect of JSON:
-// objects, arrays, strings (with the escapes JsonEscape emits), numbers,
-// and the three literals. Depth-limited; no trailing commas.
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+Status TelemetryError(const std::string& what) {
+  return Status::ParseError("telemetry JSON: " + what);
+}
 
-  Status Parse(TelemetrySnapshot* out) {
-    HEMATCH_RETURN_IF_ERROR(Expect('{'));
-    bool first = true;
-    while (true) {
-      SkipWhitespace();
-      if (TryConsume('}')) {
-        break;
+Status RequireObject(const JsonValue& value, const std::string& what) {
+  return value.kind == JsonValue::Kind::kObject
+             ? Status::OK()
+             : TelemetryError(what + " must be an object");
+}
+
+Result<std::uint64_t> ReadCount(const JsonValue& value,
+                                const std::string& what) {
+  if (const std::optional<std::uint64_t> count = value.AsUint64()) {
+    return *count;
+  }
+  return TelemetryError(what + " must be a non-negative integer");
+}
+
+Result<double> ReadNumber(const JsonValue& value, const std::string& what) {
+  if (value.kind != JsonValue::Kind::kNumber) {
+    return TelemetryError(what + " must be a number");
+  }
+  return value.number;
+}
+
+Result<HistogramSnapshot> ReadHistogram(const JsonValue& value,
+                                        const std::string& name) {
+  HEMATCH_RETURN_IF_ERROR(RequireObject(value, "histogram '" + name + "'"));
+  HistogramSnapshot h;
+  for (const auto& [field, item] : value.fields) {
+    const std::string what = "histogram '" + name + "' " + field;
+    if (field == "bounds" || field == "counts") {
+      if (item.kind != JsonValue::Kind::kArray) {
+        return TelemetryError(what + " must be an array");
       }
-      if (!first) {
-        HEMATCH_RETURN_IF_ERROR(Expect(','));
-      }
-      first = false;
-      std::string key;
-      HEMATCH_RETURN_IF_ERROR(ParseString(&key));
-      HEMATCH_RETURN_IF_ERROR(Expect(':'));
-      if (key == "counters") {
-        HEMATCH_RETURN_IF_ERROR(ParseCounterMap(&out->counters));
-      } else if (key == "gauges") {
-        HEMATCH_RETURN_IF_ERROR(ParseGaugeMap(&out->gauges));
-      } else if (key == "histograms") {
-        HEMATCH_RETURN_IF_ERROR(ParseHistogramMap(&out->histograms));
-      } else {
-        HEMATCH_RETURN_IF_ERROR(SkipValue(0));
-      }
-    }
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing content after telemetry object");
-    }
-    return Status::OK();
-  }
-
- private:
-  Status Error(const std::string& what) const {
-    return Status::ParseError("telemetry JSON, offset " +
-                              std::to_string(pos_) + ": " + what);
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool TryConsume(char ch) {
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == ch) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status Expect(char ch) {
-    if (!TryConsume(ch)) {
-      return Error(std::string("expected '") + ch + "'");
-    }
-    return Status::OK();
-  }
-
-  Status ParseString(std::string* out) {
-    HEMATCH_RETURN_IF_ERROR(Expect('"'));
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char ch = text_[pos_++];
-      if (ch == '"') {
-        return Status::OK();
-      }
-      if (ch != '\\') {
-        out->push_back(ch);
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        break;
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-          out->push_back(esc);
-          break;
-        case 'n':
-          out->push_back('\n');
-          break;
-        case 'r':
-          out->push_back('\r');
-          break;
-        case 't':
-          out->push_back('\t');
-          break;
-        case 'b':
-          out->push_back('\b');
-          break;
-        case 'f':
-          out->push_back('\f');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Error("truncated \\u escape");
-          }
-          unsigned code = 0;
-          const auto [ptr, ec] = std::from_chars(
-              text_.data() + pos_, text_.data() + pos_ + 4, code, 16);
-          if (ec != std::errc() || ptr != text_.data() + pos_ + 4) {
-            return Error("bad \\u escape");
-          }
-          pos_ += 4;
-          if (code > 0x7f) {
-            return Error("non-ASCII \\u escape unsupported");
-          }
-          out->push_back(static_cast<char>(code));
-          break;
-        }
-        default:
-          return Error("unknown escape");
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  Status ParseDouble(double* out) {
-    SkipWhitespace();
-    const char* begin = text_.data() + pos_;
-    const char* end = text_.data() + text_.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, *out);
-    if (ec != std::errc() || ptr == begin) {
-      return Error("expected a number");
-    }
-    pos_ += static_cast<std::size_t>(ptr - begin);
-    return Status::OK();
-  }
-
-  Status ParseUint(std::uint64_t* out) {
-    SkipWhitespace();
-    const char* begin = text_.data() + pos_;
-    const char* end = text_.data() + text_.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, *out);
-    if (ec != std::errc() || ptr == begin) {
-      return Error("expected a non-negative integer");
-    }
-    pos_ += static_cast<std::size_t>(ptr - begin);
-    return Status::OK();
-  }
-
-  Status ParseCounterMap(std::map<std::string, std::uint64_t>* out) {
-    return ParseFlatMap([this, out](std::string key) {
-      std::uint64_t value = 0;
-      HEMATCH_RETURN_IF_ERROR(ParseUint(&value));
-      (*out)[std::move(key)] = value;
-      return Status::OK();
-    });
-  }
-
-  Status ParseGaugeMap(std::map<std::string, double>* out) {
-    return ParseFlatMap([this, out](std::string key) {
-      double value = 0.0;
-      HEMATCH_RETURN_IF_ERROR(ParseDouble(&value));
-      (*out)[std::move(key)] = value;
-      return Status::OK();
-    });
-  }
-
-  Status ParseHistogramMap(std::map<std::string, HistogramSnapshot>* out) {
-    return ParseFlatMap([this, out](std::string key) {
-      HistogramSnapshot h;
-      HEMATCH_RETURN_IF_ERROR(Expect('{'));
-      bool first = true;
-      while (true) {
-        SkipWhitespace();
-        if (TryConsume('}')) {
-          break;
-        }
-        if (!first) {
-          HEMATCH_RETURN_IF_ERROR(Expect(','));
-        }
-        first = false;
-        std::string field;
-        HEMATCH_RETURN_IF_ERROR(ParseString(&field));
-        HEMATCH_RETURN_IF_ERROR(Expect(':'));
+      for (const JsonValue& element : item.items) {
         if (field == "bounds") {
-          HEMATCH_RETURN_IF_ERROR(ParseArray([this, &h] {
-            double v = 0.0;
-            HEMATCH_RETURN_IF_ERROR(ParseDouble(&v));
-            h.bounds.push_back(v);
-            return Status::OK();
-          }));
-        } else if (field == "counts") {
-          HEMATCH_RETURN_IF_ERROR(ParseArray([this, &h] {
-            std::uint64_t v = 0;
-            HEMATCH_RETURN_IF_ERROR(ParseUint(&v));
-            h.counts.push_back(v);
-            return Status::OK();
-          }));
-        } else if (field == "sum") {
-          HEMATCH_RETURN_IF_ERROR(ParseDouble(&h.sum));
+          HEMATCH_ASSIGN_OR_RETURN(const double bound,
+                                   ReadNumber(element, what));
+          h.bounds.push_back(bound);
         } else {
-          HEMATCH_RETURN_IF_ERROR(SkipValue(0));
+          HEMATCH_ASSIGN_OR_RETURN(const std::uint64_t count,
+                                   ReadCount(element, what));
+          h.counts.push_back(count);
         }
       }
-      if (h.counts.size() != h.bounds.size() + 1) {
-        return Error("histogram '" + key + "' needs bounds.size()+1 counts");
-      }
-      (*out)[std::move(key)] = std::move(h);
-      return Status::OK();
-    });
-  }
-
-  template <typename EntryFn>
-  Status ParseFlatMap(EntryFn&& entry) {
-    HEMATCH_RETURN_IF_ERROR(Expect('{'));
-    bool first = true;
-    while (true) {
-      SkipWhitespace();
-      if (TryConsume('}')) {
-        return Status::OK();
-      }
-      if (!first) {
-        HEMATCH_RETURN_IF_ERROR(Expect(','));
-      }
-      first = false;
-      std::string key;
-      HEMATCH_RETURN_IF_ERROR(ParseString(&key));
-      HEMATCH_RETURN_IF_ERROR(Expect(':'));
-      HEMATCH_RETURN_IF_ERROR(entry(std::move(key)));
+    } else if (field == "sum") {
+      HEMATCH_ASSIGN_OR_RETURN(h.sum, ReadNumber(item, what));
     }
   }
-
-  template <typename ElementFn>
-  Status ParseArray(ElementFn&& element) {
-    HEMATCH_RETURN_IF_ERROR(Expect('['));
-    bool first = true;
-    while (true) {
-      SkipWhitespace();
-      if (TryConsume(']')) {
-        return Status::OK();
-      }
-      if (!first) {
-        HEMATCH_RETURN_IF_ERROR(Expect(','));
-      }
-      first = false;
-      HEMATCH_RETURN_IF_ERROR(element());
-    }
+  if (h.counts.size() != h.bounds.size() + 1) {
+    return TelemetryError("histogram '" + name +
+                          "' needs bounds.size()+1 counts");
   }
-
-  // Skips any well-formed value (used for ignored keys).
-  Status SkipValue(int depth) {
-    if (depth > 32) {
-      return Error("nesting too deep");
-    }
-    SkipWhitespace();
-    if (pos_ >= text_.size()) {
-      return Error("unexpected end of input");
-    }
-    const char ch = text_[pos_];
-    if (ch == '"') {
-      std::string ignored;
-      return ParseString(&ignored);
-    }
-    if (ch == '{') {
-      return ParseFlatMap(
-          [this, depth](std::string) { return SkipValue(depth + 1); });
-    }
-    if (ch == '[') {
-      return ParseArray([this, depth] { return SkipValue(depth + 1); });
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return Status::OK();
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return Status::OK();
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return Status::OK();
-    }
-    double ignored = 0.0;
-    return ParseDouble(&ignored);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+  return h;
+}
 
 }  // namespace
 
 Result<TelemetrySnapshot> TelemetryFromJson(std::string_view json) {
+  HEMATCH_ASSIGN_OR_RETURN(const JsonValue doc, ParseJson(json));
+  HEMATCH_RETURN_IF_ERROR(RequireObject(doc, "the top level"));
   TelemetrySnapshot snapshot;
-  JsonParser parser(json);
-  HEMATCH_RETURN_IF_ERROR(parser.Parse(&snapshot));
+  for (const auto& [key, section] : doc.fields) {
+    if (key != "counters" && key != "gauges" && key != "histograms") {
+      continue;
+    }
+    HEMATCH_RETURN_IF_ERROR(RequireObject(section, key));
+    for (const auto& [name, value] : section.fields) {
+      if (key == "counters") {
+        HEMATCH_ASSIGN_OR_RETURN(snapshot.counters[name],
+                                 ReadCount(value, "counter '" + name + "'"));
+      } else if (key == "gauges") {
+        HEMATCH_ASSIGN_OR_RETURN(snapshot.gauges[name],
+                                 ReadNumber(value, "gauge '" + name + "'"));
+      } else {
+        HEMATCH_ASSIGN_OR_RETURN(snapshot.histograms[name],
+                                 ReadHistogram(value, name));
+      }
+    }
+  }
   return snapshot;
 }
 

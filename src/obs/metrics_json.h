@@ -14,12 +14,14 @@
 //
 // `TelemetryFromJson` parses exactly what `TelemetryToJson` emits, so
 // snapshots round-trip; it is deliberately strict about the schema but
-// tolerant of whitespace and key order.
+// tolerant of whitespace and key order. It walks the shared `obs/json.h`
+// DOM, which this header also brings in for `JsonEscape`/`JsonNumber`.
 
 #include <string>
 #include <string_view>
 
 #include "common/result.h"
+#include "obs/json.h"
 #include "obs/telemetry.h"
 
 namespace hematch::obs {
@@ -31,8 +33,11 @@ namespace hematch::obs {
 std::string TelemetryToJson(const TelemetrySnapshot& snapshot, int indent = 2,
                             int depth = 0);
 
-/// Parses a snapshot serialized by `TelemetryToJson`. Unknown top-level
-/// keys are ignored; malformed JSON or mistyped values are a ParseError.
+/// Parses a snapshot serialized by `TelemetryToJson`. Unknown keys are
+/// ignored; malformed JSON, a top level that is not an object, a counter
+/// or bucket count that is not an exact non-negative integer, any other
+/// mistyped value, or a histogram without `bounds.size()+1` counts is a
+/// ParseError.
 Result<TelemetrySnapshot> TelemetryFromJson(std::string_view json);
 
 /// Writes `TelemetryToJson(snapshot)` to `path` (with a trailing
@@ -58,14 +63,6 @@ std::string TelemetryToHeartbeatLine(const TelemetrySnapshot& snapshot,
                                      std::uint64_t seq, double elapsed_ms,
                                      const TelemetrySnapshot* windowed =
                                          nullptr);
-
-/// JSON string escaping for the small exporter surface (quotes,
-/// backslashes, control characters).
-std::string JsonEscape(std::string_view text);
-
-/// Round-trippable JSON representation of a double (shortest form that
-/// parses back exactly; non-finite values render as 0).
-std::string JsonNumber(double value);
 
 }  // namespace hematch::obs
 

@@ -1,7 +1,6 @@
 #include "obs/trace_analysis.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <unordered_map>
@@ -9,213 +8,7 @@
 
 namespace hematch::obs {
 
-const JsonValue* JsonValue::Find(std::string_view key) const {
-  if (kind != Kind::kObject) {
-    return nullptr;
-  }
-  for (const auto& [name, value] : fields) {
-    if (name == key) {
-      return &value;
-    }
-  }
-  return nullptr;
-}
-
 namespace {
-
-// Recursive-descent JSON parser, same dialect discipline as the
-// telemetry parser (obs/metrics_json.cc) but building a DOM: trace
-// analysis needs to walk arbitrary `args` objects, not a fixed schema.
-class DomParser {
- public:
-  explicit DomParser(std::string_view text) : text_(text) {}
-
-  Status Parse(JsonValue* out) {
-    HEMATCH_RETURN_IF_ERROR(ParseValue(out, 0));
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing content after JSON value");
-    }
-    return Status::OK();
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  Status Error(const std::string& what) const {
-    return Status::ParseError("trace JSON, offset " + std::to_string(pos_) +
-                              ": " + what);
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool TryConsume(char ch) {
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == ch) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status Expect(char ch) {
-    if (!TryConsume(ch)) {
-      return Error(std::string("expected '") + ch + "'");
-    }
-    return Status::OK();
-  }
-
-  Status ParseString(std::string* out) {
-    HEMATCH_RETURN_IF_ERROR(Expect('"'));
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char ch = text_[pos_++];
-      if (ch == '"') {
-        return Status::OK();
-      }
-      if (ch != '\\') {
-        out->push_back(ch);
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        break;
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-          out->push_back(esc);
-          break;
-        case 'n':
-          out->push_back('\n');
-          break;
-        case 'r':
-          out->push_back('\r');
-          break;
-        case 't':
-          out->push_back('\t');
-          break;
-        case 'b':
-          out->push_back('\b');
-          break;
-        case 'f':
-          out->push_back('\f');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Error("truncated \\u escape");
-          }
-          unsigned code = 0;
-          const auto [ptr, ec] = std::from_chars(
-              text_.data() + pos_, text_.data() + pos_ + 4, code, 16);
-          if (ec != std::errc() || ptr != text_.data() + pos_ + 4) {
-            return Error("bad \\u escape");
-          }
-          pos_ += 4;
-          if (code > 0x7f) {
-            return Error("non-ASCII \\u escape unsupported");
-          }
-          out->push_back(static_cast<char>(code));
-          break;
-        }
-        default:
-          return Error("unknown escape");
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  Status ParseValue(JsonValue* out, int depth) {
-    if (depth > kMaxDepth) {
-      return Error("nesting too deep");
-    }
-    SkipWhitespace();
-    if (pos_ >= text_.size()) {
-      return Error("unexpected end of input");
-    }
-    const char ch = text_[pos_];
-    if (ch == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->text);
-    }
-    if (ch == '{') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kObject;
-      bool first = true;
-      while (true) {
-        if (TryConsume('}')) {
-          return Status::OK();
-        }
-        if (!first) {
-          HEMATCH_RETURN_IF_ERROR(Expect(','));
-        }
-        first = false;
-        SkipWhitespace();
-        std::string key;
-        HEMATCH_RETURN_IF_ERROR(ParseString(&key));
-        HEMATCH_RETURN_IF_ERROR(Expect(':'));
-        JsonValue value;
-        HEMATCH_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-        out->fields.emplace_back(std::move(key), std::move(value));
-      }
-    }
-    if (ch == '[') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kArray;
-      bool first = true;
-      while (true) {
-        if (TryConsume(']')) {
-          return Status::OK();
-        }
-        if (!first) {
-          HEMATCH_RETURN_IF_ERROR(Expect(','));
-        }
-        first = false;
-        JsonValue value;
-        HEMATCH_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-        out->items.push_back(std::move(value));
-      }
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = true;
-      return Status::OK();
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = false;
-      return Status::OK();
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      out->kind = JsonValue::Kind::kNull;
-      return Status::OK();
-    }
-    const char* begin = text_.data() + pos_;
-    const char* end = text_.data() + text_.size();
-    double number = 0.0;
-    const auto [ptr, ec] = std::from_chars(begin, end, number);
-    if (ec != std::errc() || ptr == begin) {
-      return Error("expected a value");
-    }
-    pos_ += static_cast<std::size_t>(ptr - begin);
-    out->kind = JsonValue::Kind::kNumber;
-    out->number = number;
-    return Status::OK();
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 void DecodeArgs(const JsonValue* args, TraceEvent* event) {
   if (args == nullptr || args->kind != JsonValue::Kind::kObject) {
@@ -225,10 +18,12 @@ void DecodeArgs(const JsonValue* args, TraceEvent* event) {
     if (value.kind != JsonValue::Kind::kNumber) {
       continue;
     }
+    // Ids that are not exact integers (a hand-edited trace) read as 0
+    // rather than pass through a float-to-int conversion.
     if (key == "span_id") {
-      event->id = static_cast<SpanId>(value.number);
+      event->id = value.AsUint64().value_or(0);
     } else if (key == "parent_id") {
-      event->parent = static_cast<SpanId>(value.number);
+      event->parent = value.AsUint64().value_or(0);
     } else if (key == "value") {
       event->value = value.number;
     } else {
@@ -238,13 +33,6 @@ void DecodeArgs(const JsonValue* args, TraceEvent* event) {
 }
 
 }  // namespace
-
-Result<JsonValue> ParseJson(std::string_view text) {
-  JsonValue value;
-  DomParser parser(text);
-  HEMATCH_RETURN_IF_ERROR(parser.Parse(&value));
-  return value;
-}
 
 Result<ParsedTrace> ParseChromeTrace(std::string_view json) {
   JsonValue root;
@@ -261,10 +49,7 @@ Result<ParsedTrace> ParseChromeTrace(std::string_view json) {
   } else if (root.kind == JsonValue::Kind::kObject) {
     events = root.Find("traceEvents");
     if (const JsonValue* other = root.Find("otherData")) {
-      if (const JsonValue* dropped = other->Find("dropped_events")) {
-        trace.dropped_events =
-            static_cast<std::uint64_t>(dropped->NumberOr(0.0));
-      }
+      ReadUintField(*other, "dropped_events", &trace.dropped_events);
     }
   }
   if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
@@ -280,8 +65,8 @@ Result<ParsedTrace> ParseChromeTrace(std::string_view json) {
     if (ph == nullptr || ph->kind != JsonValue::Kind::kString) {
       continue;
     }
-    const std::uint32_t tid = static_cast<std::uint32_t>(
-        entry.Find("tid") ? entry.Find("tid")->NumberOr(0.0) : 0.0);
+    std::uint32_t tid = 0;  // Stays 0 unless "tid" is an exact uint32.
+    ReadUintField(entry, "tid", &tid);
     const std::string& name =
         entry.Find("name") ? entry.Find("name")->TextOr(kEmpty) : kEmpty;
 

@@ -11,6 +11,8 @@
 /// The parser accepts the general trace-event dialect (an object with a
 /// `traceEvents` array, or a bare array of events), not just our own
 /// writer's output, so traces lightly edited by other tools still load.
+/// The JSON itself is read by `obs/json.h`, included here so callers of
+/// this header keep seeing `JsonValue` and `ParseJson`.
 
 #include <cstdint>
 #include <map>
@@ -19,34 +21,10 @@
 #include <vector>
 
 #include "common/result.h"
+#include "obs/json.h"
 #include "obs/trace.h"
 
 namespace hematch::obs {
-
-/// Generic JSON value — just enough DOM for trace files and heartbeat
-/// lines. Object fields preserve document order.
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<JsonValue> items;                          ///< kArray.
-  std::vector<std::pair<std::string, JsonValue>> fields; ///< kObject.
-
-  /// Field lookup on an object; null when absent or not an object.
-  const JsonValue* Find(std::string_view key) const;
-  double NumberOr(double fallback) const {
-    return kind == Kind::kNumber ? number : fallback;
-  }
-  const std::string& TextOr(const std::string& fallback) const {
-    return kind == Kind::kString ? text : fallback;
-  }
-};
-
-/// Parses one JSON document (strict commas, no comments).
-Result<JsonValue> ParseJson(std::string_view text);
 
 /// A trace file decoded back into recorder events.
 struct ParsedTrace {

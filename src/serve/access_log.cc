@@ -1,7 +1,6 @@
 #include "serve/access_log.h"
 
-#include "obs/metrics_json.h"
-#include "obs/trace_analysis.h"
+#include "obs/json.h"
 
 namespace hematch::serve {
 
@@ -96,14 +95,24 @@ Result<AccessLogEntry> ParseAccessLogLine(std::string_view line) {
     const JsonValue* v = doc.Find(key);
     return v != nullptr && v->kind == JsonValue::Kind::kBool && v->boolean;
   };
+  // Integer fields are read exactly: absent is 0, anything but plain
+  // digits within the field's range is a ParseError.
+  auto uint_error = [](const char* key) {
+    return Status::ParseError(std::string("access-log field '") + key +
+                              "' must be a non-negative integer");
+  };
   entry.ts_ms = number("ts_ms");
-  entry.request_id = static_cast<std::uint64_t>(number("request_id"));
+  if (!obs::ReadUintField(doc, "request_id", &entry.request_id)) {
+    return uint_error("request_id");
+  }
   entry.correlation_id = text("correlation_id");
   entry.op = text("op");
   entry.tenant = text("tenant");
   entry.method = text("method");
   entry.admission = text("admission");
-  entry.shed_level = static_cast<int>(number("shed_level"));
+  if (!obs::ReadUintField(doc, "shed_level", &entry.shed_level)) {
+    return uint_error("shed_level");
+  }
   entry.queue_ms = number("queue_ms");
   entry.run_ms = number("run_ms");
   entry.total_ms = number("total_ms");
@@ -113,8 +122,12 @@ Result<AccessLogEntry> ParseAccessLogLine(std::string_view line) {
   entry.objective = number("objective");
   entry.lower_bound = number("lower_bound");
   entry.upper_bound = number("upper_bound");
-  entry.bytes_in = static_cast<std::uint64_t>(number("bytes_in"));
-  entry.bytes_out = static_cast<std::uint64_t>(number("bytes_out"));
+  if (!obs::ReadUintField(doc, "bytes_in", &entry.bytes_in)) {
+    return uint_error("bytes_in");
+  }
+  if (!obs::ReadUintField(doc, "bytes_out", &entry.bytes_out)) {
+    return uint_error("bytes_out");
+  }
   entry.sampled = boolean("sampled");
   entry.trace_file = text("trace_file");
   return entry;

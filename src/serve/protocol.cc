@@ -46,13 +46,8 @@ void OpenResponse(std::ostringstream& os, std::uint64_t id,
   }
 }
 
-const JsonValue* RequireField(const JsonValue& obj, std::string_view key) {
-  const JsonValue* v = obj.Find(key);
-  return v;
-}
-
 Result<std::string> RequireString(const JsonValue& obj, std::string_view key) {
-  const JsonValue* v = RequireField(obj, key);
+  const JsonValue* v = obj.Find(key);
   if (v == nullptr || v->kind != JsonValue::Kind::kString) {
     return Status::InvalidArgument("missing or non-string field '" +
                                    std::string(key) + "'");
@@ -108,10 +103,8 @@ Result<ServeRequest> ParseRequest(std::string_view line) {
   }
 
   ServeRequest req;
-  if (const JsonValue* id = doc.Find("id");
-      id != nullptr && id->kind == JsonValue::Kind::kNumber &&
-      id->number >= 0) {
-    req.id = static_cast<std::uint64_t>(id->number);
+  if (!obs::ReadUintField(doc, "id", &req.id)) {
+    return Status::InvalidArgument("id must be a non-negative integer");
   }
   if (const JsonValue* corr = doc.Find("correlation_id"); corr != nullptr) {
     if (corr->kind != JsonValue::Kind::kString) {
@@ -185,12 +178,10 @@ Result<ServeRequest> ParseRequest(std::string_view line) {
       }
       req.match.deadline_ms = dl->number;
     }
-    if (const JsonValue* cap = doc.Find("max_expansions"); cap != nullptr) {
-      if (cap->kind != JsonValue::Kind::kNumber || cap->number < 0) {
-        return Status::InvalidArgument(
-            "max_expansions must be a non-negative number");
-      }
-      req.match.max_expansions = static_cast<std::uint64_t>(cap->number);
+    if (!obs::ReadUintField(doc, "max_expansions",
+                            &req.match.max_expansions)) {
+      return Status::InvalidArgument(
+          "max_expansions must be a non-negative integer");
     }
     if (const JsonValue* pen = doc.Find("partial_penalty"); pen != nullptr) {
       if (pen->kind != JsonValue::Kind::kNumber || pen->number < 0) {
@@ -209,13 +200,10 @@ Result<ServeRequest> ParseRequest(std::string_view line) {
       }
       req.match.method = method->text;
     }
-    if (const JsonValue* st = doc.Find("search_threads"); st != nullptr) {
-      if (st->kind != JsonValue::Kind::kNumber || st->number < 0 ||
-          st->number > 1024) {
-        return Status::InvalidArgument(
-            "search_threads must be a number in [0, 1024]");
-      }
-      req.match.search_threads = static_cast<int>(st->number);
+    if (!obs::ReadUintField(doc, "search_threads", &req.match.search_threads,
+                            1024)) {
+      return Status::InvalidArgument(
+          "search_threads must be an integer in [0, 1024]");
     }
     return req;
   }
@@ -416,9 +404,8 @@ Result<ServeResponse> ParseResponse(std::string_view line) {
   }
   ServeResponse resp;
   resp.raw = std::string(line);
-  if (const JsonValue* id = doc.Find("id");
-      id != nullptr && id->kind == JsonValue::Kind::kNumber) {
-    resp.id = static_cast<std::uint64_t>(id->number);
+  if (const JsonValue* id = doc.Find("id"); id != nullptr) {
+    resp.id = id->AsUint64().value_or(0);
   }
   if (const JsonValue* op = doc.Find("op"); op != nullptr) {
     resp.op = op->TextOr("");
@@ -427,10 +414,8 @@ Result<ServeResponse> ParseResponse(std::string_view line) {
       ok != nullptr && ok->kind == JsonValue::Kind::kBool) {
     resp.ok = ok->boolean;
   }
-  if (const JsonValue* rid = doc.Find("request_id");
-      rid != nullptr && rid->kind == JsonValue::Kind::kNumber &&
-      rid->number >= 0) {
-    resp.request_id = static_cast<std::uint64_t>(rid->number);
+  if (const JsonValue* rid = doc.Find("request_id"); rid != nullptr) {
+    resp.request_id = rid->AsUint64().value_or(0);
   }
   if (const JsonValue* corr = doc.Find("correlation_id"); corr != nullptr) {
     resp.correlation_id = corr->TextOr("");

@@ -37,8 +37,8 @@
 #include <vector>
 
 #include "common/result.h"
+#include "obs/json.h"
 #include "obs/telemetry.h"
-#include "obs/trace_analysis.h"
 
 namespace hematch::serve {
 
@@ -122,7 +122,10 @@ struct ServeRequest {
 
 /// Parses one request line. Unknown ops, missing required fields, and
 /// malformed JSON yield ParseError/InvalidArgument — the server turns
-/// those into BAD_REQUEST responses rather than dropping the line.
+/// those into BAD_REQUEST responses rather than dropping the line. The
+/// integer fields (`id`, `max_expansions`, `search_threads`) must be
+/// written as plain digits and fit their range; `1.5`, `1e3`, `-1` or an
+/// overflowing value is InvalidArgument, never a truncating cast.
 Result<ServeRequest> ParseRequest(std::string_view line);
 
 /// --- Request builders (client side; each returns one line, no '\n').

@@ -213,6 +213,11 @@ struct CorruptCase {
   std::size_t lenient_traces;  // Traces salvaged in lenient mode.
 };
 
+// Without this, gtest prints the case as raw bytes, which include the
+// run-time address of `file`; ctest's discovered names would then change
+// on every build.
+void PrintTo(const CorruptCase& c, std::ostream* os) { *os << c.file; }
+
 class CorruptXesTest : public ::testing::TestWithParam<CorruptCase> {};
 
 TEST_P(CorruptXesTest, LenientSalvages) {

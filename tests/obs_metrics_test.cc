@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/metrics_json.h"
 #include "obs/search_tracer.h"
 #include "obs/stopwatch.h"
@@ -238,6 +240,74 @@ TEST(MetricsJsonTest, RejectsMalformedInput) {
       TelemetryFromJson("{\"counters\": {\"a\": \"not a number\"}}").ok());
   // Trailing garbage after the document.
   EXPECT_FALSE(TelemetryFromJson("{} x").ok());
+}
+
+TEST(MetricsJsonTest, CountersAreExactUint64) {
+  TelemetrySnapshot snapshot;
+  snapshot.counters["max"] = std::numeric_limits<std::uint64_t>::max();
+  snapshot.counters["past_2_53"] = 9007199254740993u;
+  Result<TelemetrySnapshot> parsed =
+      TelemetryFromJson(TelemetryToJson(snapshot));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->counter("max"), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parsed->counter("past_2_53"), 9007199254740993u);
+}
+
+TEST(MetricsJsonTest, RejectsValuesOutsideTheSchema) {
+  EXPECT_FALSE(TelemetryFromJson("{\"counters\": {\"a\": -1}}").ok());
+  EXPECT_FALSE(TelemetryFromJson("{\"counters\": {\"a\": 1.5}}").ok());
+  EXPECT_FALSE(TelemetryFromJson("{\"counters\": {\"a\": 1e3}}").ok());
+  EXPECT_FALSE(
+      TelemetryFromJson("{\"counters\": {\"a\": 18446744073709551616}}")
+          .ok());
+  EXPECT_FALSE(TelemetryFromJson("{\"gauges\": {\"g\": nan}}").ok());
+  EXPECT_FALSE(TelemetryFromJson("{\"gauges\": {\"g\": true}}").ok());
+  EXPECT_FALSE(TelemetryFromJson("{\"counters\": []}").ok());
+  // Each histogram needs one more count than bounds.
+  EXPECT_FALSE(TelemetryFromJson("{\"histograms\": {\"h\": "
+                                 "{\"bounds\": [1], \"counts\": [1]}}}")
+                   .ok());
+  EXPECT_FALSE(TelemetryFromJson("{\"histograms\": {\"h\": "
+                                 "{\"bounds\": [1], \"counts\": [1, -2]}}}")
+                   .ok());
+  // Unknown keys of any shape are skipped.
+  Result<TelemetrySnapshot> parsed = TelemetryFromJson(
+      "{\"schema\": \"x\", \"extra\": [1, {\"y\": null}], "
+      "\"counters\": {\"a\": 3}}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->counter("a"), 3u);
+}
+
+TEST(JsonParserTest, RejectsNonJsonNumberLiterals) {
+  EXPECT_FALSE(ParseJson("[nan]").ok());
+  EXPECT_FALSE(ParseJson("{\"a\":inf}").ok());
+  EXPECT_FALSE(ParseJson("[infinity]").ok());
+  EXPECT_FALSE(ParseJson("[-inf]").ok());
+  EXPECT_FALSE(ParseJson("[+1]").ok());
+  EXPECT_FALSE(ParseJson("[.5]").ok());
+  EXPECT_FALSE(ParseJson("[1.]").ok());
+  EXPECT_FALSE(ParseJson("[01]").ok());
+  EXPECT_FALSE(ParseJson("[1e]").ok());
+  EXPECT_FALSE(ParseJson("[1e400]").ok());
+  EXPECT_TRUE(ParseJson("[0, -0.5, 1e-3, 2E+2, -12]").ok());
+}
+
+TEST(JsonParserTest, KeepsIntegerLiteralsExact) {
+  Result<JsonValue> doc = ParseJson(
+      "[0, 18446744073709551615, 18446744073709551616, 1.0, 1e3, -1, \"7\"]");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  const std::vector<JsonValue>& items = doc->items;
+  ASSERT_EQ(items.size(), 7u);
+  EXPECT_EQ(items[0].AsUint64(), 0u);
+  EXPECT_EQ(items[1].AsUint64(), std::numeric_limits<std::uint64_t>::max());
+  // Past UINT64_MAX, written with a fraction or exponent, signed, or
+  // not a number at all: only the double (if any) is kept.
+  EXPECT_FALSE(items[2].AsUint64().has_value());
+  EXPECT_DOUBLE_EQ(items[2].number, 18446744073709551616.0);
+  EXPECT_FALSE(items[3].AsUint64().has_value());
+  EXPECT_FALSE(items[4].AsUint64().has_value());
+  EXPECT_FALSE(items[5].AsUint64().has_value());
+  EXPECT_FALSE(items[6].AsUint64().has_value());
 }
 
 TEST(MetricsJsonTest, EscapesAwkwardNames) {

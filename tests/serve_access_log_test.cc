@@ -88,6 +88,21 @@ TEST(AccessLogSchemaTest, RejectsWrongSchemaAndGarbage) {
   EXPECT_FALSE(ParseAccessLogLine("").ok());
 }
 
+TEST(AccessLogSchemaTest, RejectsIntegerFieldsThatAreNotExactIntegers) {
+  const std::string head = "{\"schema\":\"hematch.access.v1\",";
+  EXPECT_FALSE(ParseAccessLogLine(head + "\"request_id\":1e300}").ok());
+  EXPECT_FALSE(ParseAccessLogLine(head + "\"shed_level\":4294967296}").ok());
+  EXPECT_FALSE(ParseAccessLogLine(head + "\"bytes_in\":-1}").ok());
+  EXPECT_FALSE(ParseAccessLogLine(head + "\"bytes_out\":2.5}").ok());
+
+  AccessLogEntry entry;
+  entry.request_id = 9007199254740993u;  // 2^53 + 1.
+  Result<AccessLogEntry> parsed =
+      ParseAccessLogLine(FormatAccessLogEntry(entry));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->request_id, entry.request_id);
+}
+
 std::vector<std::string> ReadLines(const std::string& path) {
   std::vector<std::string> lines;
   std::ifstream in(path);

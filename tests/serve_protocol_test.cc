@@ -112,6 +112,67 @@ TEST(ServeProtocolTest, RejectsBadFields) {
                    .ok());
 }
 
+TEST(ServeProtocolTest, RejectsIntegerFieldsThatAreNotExactIntegers) {
+  // Integer fields take plain digits in range only; anything else is a
+  // client error, so no wire value reaches a float-to-int cast.
+  const char* const kBadLines[] = {
+      R"({"schema":"hematch.serve.v1","op":"ping","id":1e300})",
+      R"({"schema":"hematch.serve.v1","op":"ping","id":-1})",
+      R"({"schema":"hematch.serve.v1","op":"ping","id":2.5})",
+      R"({"schema":"hematch.serve.v1","op":"ping","id":"7"})",
+      R"({"schema":"hematch.serve.v1","op":"ping","id":18446744073709551616})",
+      R"({"schema":"hematch.serve.v1","op":"match","id":1,)"
+      R"("log1":"a","log2":"b","max_expansions":inf})",
+      R"({"schema":"hematch.serve.v1","op":"match","id":1,)"
+      R"("log1":"a","log2":"b","max_expansions":1e3})",
+      R"({"schema":"hematch.serve.v1","op":"match","id":1,)"
+      R"("log1":"a","log2":"b","search_threads":nan})",
+      R"({"schema":"hematch.serve.v1","op":"match","id":1,)"
+      R"("log1":"a","log2":"b","search_threads":1e10})",
+      R"({"schema":"hematch.serve.v1","op":"match","id":1,)"
+      R"("log1":"a","log2":"b","search_threads":1025})",
+      R"({"schema":"hematch.serve.v1","op":"match","id":1,)"
+      R"("log1":"a","log2":"b","deadline_ms":-inf})",
+  };
+  for (const char* line : kBadLines) {
+    const Result<ServeRequest> req = ParseRequest(line);
+    EXPECT_FALSE(req.ok()) << line;
+  }
+  // The server answers every rejected line BAD_REQUEST; these are the
+  // field-level failures among them.
+  EXPECT_EQ(ParseRequest(kBadLines[0]).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseRequest(kBadLines[8]).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ServeProtocolTest, IntegerFieldsRoundTripExactly) {
+  // 2^53 + 1: the first integer a double cannot hold.
+  const Result<ServeRequest> big = ParseRequest(
+      R"({"schema":"hematch.serve.v1","op":"ping","id":9007199254740993})");
+  ASSERT_TRUE(big.ok()) << big.status();
+  EXPECT_EQ(big->id, 9007199254740993u);
+
+  MatchRequestSpec spec;
+  spec.log1 = "a";
+  spec.log2 = "b";
+  spec.max_expansions = std::numeric_limits<std::uint64_t>::max();
+  spec.search_threads = 1024;
+  const std::uint64_t id = std::numeric_limits<std::uint64_t>::max() - 1;
+  const Result<ServeRequest> req = ParseRequest(BuildMatchRequest(id, spec));
+  ASSERT_TRUE(req.ok()) << req.status();
+  EXPECT_EQ(req->id, id);
+  EXPECT_EQ(req->match.max_expansions, spec.max_expansions);
+  EXPECT_EQ(req->match.search_threads, 1024);
+
+  RequestContext ctx;
+  ctx.request_id = 9007199254740993u;
+  const Result<ServeResponse> resp = ParseResponse(BuildPingResponse(id, ctx));
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_EQ(resp->id, id);
+  EXPECT_EQ(resp->request_id, ctx.request_id);
+}
+
 TEST(ServeProtocolTest, MatchResponseRoundTrip) {
   MatchReplyData reply;
   reply.termination = "deadline";

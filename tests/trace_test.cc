@@ -170,6 +170,35 @@ TEST(TraceRecorderTest, ChromeJsonRoundTrip) {
   EXPECT_TRUE(named_main);
 }
 
+TEST(TraceRecorderTest, ParsedIdsAreExactAndNeverCastFromDoubles) {
+  // A hand-edited trace: ids past 2^53 survive exactly; ids and tids that
+  // are not plain non-negative integers read as 0 instead of overflowing
+  // a float-to-int conversion.
+  const std::string json = R"({"traceEvents":[
+    {"ph":"X","name":"a","tid":1,"ts":0,"dur":5,
+     "args":{"span_id":9007199254740993,"parent_id":0}},
+    {"ph":"X","name":"b","tid":1e300,"ts":1,"dur":1,
+     "args":{"span_id":-4,"parent_id":1e300}},
+    {"ph":"X","name":"c","tid":4294967296,"ts":1,"dur":1,
+     "args":{"span_id":2.5}}],
+    "otherData":{"dropped_events":1e300}})";
+  Result<ParsedTrace> parsed = ParseChromeTrace(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->dropped_events, 0u);
+  const TraceEvent* a = FindEvent(parsed->events, "a");
+  const TraceEvent* b = FindEvent(parsed->events, "b");
+  const TraceEvent* c = FindEvent(parsed->events, "c");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(a->id, 9007199254740993u);
+  EXPECT_EQ(b->id, 0u);
+  EXPECT_EQ(b->parent, 0u);
+  EXPECT_EQ(b->tid, 0u);
+  EXPECT_EQ(c->id, 0u);
+  EXPECT_EQ(c->tid, 0u);
+}
+
 TEST(TraceRecorderTest, SnapshotSafeWhileOtherThreadsRecord) {
   obs::TraceRecorderOptions options;
   options.per_thread_capacity = 1024;  // Keep the copied snapshots small.

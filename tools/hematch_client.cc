@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "obs/json.h"
 #include "serve/client.h"
 
 namespace {
