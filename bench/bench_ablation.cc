@@ -176,8 +176,8 @@ MatchingTask MakeSubsetStressTask(std::size_t n, std::size_t traces,
   MatchingTask task;
   task.name = "subset-stress/n=" + std::to_string(n);
   for (std::size_t i = 0; i < n; ++i) {
-    task.log1.InternEvent("a" + std::to_string(i));
-    task.log2.InternEvent("b" + std::to_string(i));
+    task.log1.InternEvent(std::string("a").append(std::to_string(i)));
+    task.log2.InternEvent(std::string("b").append(std::to_string(i)));
   }
   Rng r1 = rng.Fork();
   Rng r2 = rng.Fork();

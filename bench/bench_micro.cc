@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "api/match_pipeline.h"
 #include "assignment/hungarian.h"
 #include "common/rng.h"
 #include "core/astar_matcher.h"
@@ -276,10 +277,8 @@ void BM_Portfolio(benchmark::State& state) {
     exec::PortfolioOptions options;
     options.budget.deadline_ms = 2'000.0;
     options.telemetry = false;
-    exec::PortfolioRunner runner(
-        exec::DefaultPortfolioStrategies(ScorerOptions{}, BoundKind::kTight,
-                                         50'000'000),
-        std::move(options));
+    exec::PortfolioRunner runner(RaceCard(MatchPipelineOptions{}),
+                                 std::move(options));
     benchmark::DoNotOptimize(runner.Run(task.log1, task.log2, patterns));
   }
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "api/match_pipeline.h"
 #include "core/astar_matcher.h"
 #include "core/heuristic_advanced_matcher.h"
 #include "exec/portfolio.h"
@@ -40,10 +41,8 @@ class PortfolioMatcher : public Matcher {
     // after the sweep; spans flow to HEMATCH_TRACE_OUT when set.
     options.telemetry = true;
     options.trace_recorder = bench::BenchTraceRecorder();
-    exec::PortfolioRunner runner(
-        exec::DefaultPortfolioStrategies(ScorerOptions{}, BoundKind::kTight,
-                                         50'000'000),
-        std::move(options));
+    exec::PortfolioRunner runner(RaceCard(MatchPipelineOptions{}),
+                                 std::move(options));
     HEMATCH_ASSIGN_OR_RETURN(
         exec::PortfolioOutcome outcome,
         runner.Run(context.log1(), context.log2(), context.patterns()));

@@ -30,7 +30,7 @@ using namespace hematch;
 void FillRandomLog(EventLog& log, std::size_t n, std::size_t traces,
                    Rng& rng) {
   for (std::size_t v = 0; v < n; ++v) {
-    log.InternEvent("e" + std::to_string(v));
+    log.InternEvent(std::string("e").append(std::to_string(v)));
   }
   for (std::size_t t = 0; t < traces; ++t) {
     Trace trace(1 + rng.NextBounded(8));

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "api/match_pipeline.h"
 #include "common/check.h"
-#include "core/heuristic_advanced_matcher.h"
-#include "core/heuristic_simple_matcher.h"
 #include "core/matching_context.h"
 #include "obs/trace.h"
 
@@ -19,14 +18,15 @@ FallbackMatcher::FallbackMatcher(std::vector<std::unique_ptr<Matcher>> ladder,
 
 std::unique_ptr<FallbackMatcher> FallbackMatcher::ExactWithHeuristicFallbacks(
     const AStarOptions& astar, FallbackOptions options) {
-  std::vector<std::unique_ptr<Matcher>> ladder;
-  ladder.push_back(std::make_unique<AStarMatcher>(astar));
-  HeuristicAdvancedOptions advanced;
-  advanced.scorer = astar.scorer;
-  ladder.push_back(std::make_unique<HeuristicAdvancedMatcher>(advanced));
-  HeuristicSimpleOptions simple;
-  simple.scorer = astar.scorer;
-  ladder.push_back(std::make_unique<HeuristicSimpleMatcher>(simple));
+  MatchPipelineOptions pipeline;
+  pipeline.method = astar.scorer.bound == BoundKind::kSimple
+                        ? MatchMethod::kPatternSimple
+                        : MatchMethod::kPatternTight;
+  pipeline.scorer = astar.scorer;
+  std::vector<std::unique_ptr<Matcher>> ladder = MatcherRungs(pipeline);
+  // The caller's A* configuration (bound, reductions, name) is the
+  // exact rung; the heuristic tail is the method's.
+  ladder.front() = std::make_unique<AStarMatcher>(astar);
   return std::make_unique<FallbackMatcher>(std::move(ladder),
                                            std::move(options));
 }

@@ -41,8 +41,9 @@ class FallbackMatcher : public Matcher {
                   FallbackOptions options = {});
 
   /// The canonical ladder: exact A* with the given options, degrading
-  /// to the advanced heuristic, then the simple heuristic (both reuse
-  /// the A* scorer configuration).
+  /// down the heuristic rungs of `MatcherRungs` (api/match_pipeline.h)
+  /// for the pattern method of the same bound — simple for a simple
+  /// bound, tight for any other.
   static std::unique_ptr<FallbackMatcher> ExactWithHeuristicFallbacks(
       const AStarOptions& astar, FallbackOptions options = {});
 

@@ -1,6 +1,7 @@
 #ifndef HEMATCH_API_MATCH_PIPELINE_H_
 #define HEMATCH_API_MATCH_PIPELINE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -10,7 +11,9 @@
 #include "common/result.h"
 #include "core/match_result.h"
 #include "core/mapping_scorer.h"
+#include "core/matcher.h"
 #include "exec/budget.h"
+#include "exec/portfolio.h"
 #include "log/event_log.h"
 #include "obs/search_tracer.h"
 #include "obs/telemetry.h"
@@ -56,13 +59,13 @@ struct MatchPipelineOptions {
   /// false to get the exact matcher's own anytime result instead.
   bool degrade = true;
   /// Hedged portfolio mode for the exact methods (see exec/portfolio.h):
-  /// instead of the sequential exact→advanced→simple ladder, race all
-  /// three on worker threads under the shared budget and return the
-  /// first certified-optimal result or the best-by-objective at the
-  /// deadline. Per-strategy outcomes land in `result.stages` and
-  /// `portfolio.*` telemetry. Ignored for the heuristic/baseline
-  /// methods (nothing to hedge). Off by default — the single-threaded
-  /// paths are untouched when this is false.
+  /// instead of laddering the method's rungs one after another, race
+  /// all of them (`RaceCard`) on worker threads under the shared budget
+  /// and return the first certified-optimal result or the
+  /// best-by-objective at the deadline. Per-strategy outcomes land in
+  /// `result.stages` and `portfolio.*` telemetry. Ignored for the
+  /// heuristic/baseline methods (nothing to hedge). Off by default — the
+  /// single-threaded paths are untouched when this is false.
   bool portfolio = false;
   /// Worker-thread cap for portfolio mode; 0 = one thread per strategy.
   int portfolio_threads = 0;
@@ -121,6 +124,29 @@ struct MatchPipelineOutcome {
   /// false. See docs/OBSERVABILITY.md for the taxonomy.
   obs::TelemetrySnapshot telemetry;
 };
+
+/// The matchers `options.method` runs, in degrade order. An exact
+/// method (`kPatternTight`, `kPatternSimple`, `kParallelAStar`) yields
+/// its exact rung, then the advanced heuristic, then the simple one —
+/// only the exact rung when `options.degrade` is false. The heuristic
+/// rungs score with the method's bound: simple for `kPatternSimple`,
+/// tight otherwise. Any other method yields just its own matcher.
+/// `skip` drops that many leading rungs, but never the last one (serve
+/// sheds load this way). This is the one place the exact → heuristic
+/// order is written down: `MatchLogs` ladders or races it, serve sheds
+/// from it, and the CLI runs it.
+std::vector<std::unique_ptr<Matcher>> MatcherRungs(
+    const MatchPipelineOptions& options, std::size_t skip = 0);
+
+/// `MatcherRungs(options)` as one matcher: the lone rung itself, or a
+/// `FallbackMatcher` ladder over the rungs under `options.budget` and
+/// `options.cancel`. Null for an unknown method.
+std::unique_ptr<Matcher> MakeMatcher(const MatchPipelineOptions& options);
+
+/// The portfolio race card for `options.method`: every rung of
+/// `MatcherRungs`, degradation on or off, each named after its matcher.
+std::vector<exec::PortfolioStrategy> RaceCard(
+    const MatchPipelineOptions& options);
 
 /// One-call convenience API: orient the logs (injective mappings need
 /// |V1| <= |V2|), assemble the pattern set (vertices + edges + provided

@@ -9,11 +9,7 @@
 #include <thread>
 #include <utility>
 
-#include "core/astar_matcher.h"
-#include "core/heuristic_advanced_matcher.h"
-#include "core/heuristic_simple_matcher.h"
 #include "core/matching_context.h"
-#include "exec/parallel_astar.h"
 #include "exec/watchdog.h"
 #include "obs/metrics.h"
 
@@ -403,7 +399,7 @@ Result<PortfolioOutcome> PortfolioRunner::Run(const EventLog& log1,
 
   if (!CertifiedOptimal(out.result)) {
     // Degraded relative to a certified-optimal answer: the reference
-    // strategy (index 0, the exact matcher on the default card) names
+    // strategy (index 0, the exact rung on a `RaceCard`) names
     // the limit, mirroring the fallback ladder's first-trip rule, and
     // the bracket combines the winner's achieved objective with the
     // tightest certified upper bound any strategy produced.
@@ -433,36 +429,6 @@ Result<PortfolioOutcome> PortfolioRunner::Run(const EventLog& log1,
   }
   out.telemetry = state->base->SnapshotTelemetry();
   return out;
-}
-
-std::vector<PortfolioStrategy> DefaultPortfolioStrategies(
-    const ScorerOptions& scorer, BoundKind bound,
-    std::uint64_t max_expansions, int parallel_search_threads) {
-  std::vector<PortfolioStrategy> strategies;
-  if (parallel_search_threads >= 0) {
-    ParallelAStarOptions popts;
-    popts.scorer = scorer;
-    popts.scorer.bound = BoundKind::kBitmapTight;
-    popts.threads = parallel_search_threads;
-    popts.max_expansions = max_expansions;
-    auto parallel = std::make_unique<ParallelAStarMatcher>(popts);
-    strategies.push_back({parallel->name(), std::move(parallel)});
-  }
-  AStarOptions astar;
-  astar.scorer = scorer;
-  astar.scorer.bound = bound;
-  astar.max_expansions = max_expansions;
-  auto exact = std::make_unique<AStarMatcher>(astar);
-  strategies.push_back({exact->name(), std::move(exact)});
-  HeuristicAdvancedOptions advanced;
-  advanced.scorer = scorer;
-  auto adv = std::make_unique<HeuristicAdvancedMatcher>(advanced);
-  strategies.push_back({adv->name(), std::move(adv)});
-  HeuristicSimpleOptions simple;
-  simple.scorer = scorer;
-  auto simp = std::make_unique<HeuristicSimpleMatcher>(simple);
-  strategies.push_back({simp->name(), std::move(simp)});
-  return strategies;
 }
 
 }  // namespace hematch::exec

@@ -13,7 +13,9 @@
 /// launches the exact matcher and the heuristics concurrently — the
 /// hedged-request pattern from the scalable-alignment literature — and
 /// takes the first certified-optimal result, or the best-by-objective
-/// result once the deadline (or every strategy) is done.
+/// result once the deadline (or every strategy) is done.  A method's
+/// standard race card is its fallback rungs (`RaceCard` in
+/// api/match_pipeline.h).
 ///
 /// Robustness is the core of the design:
 ///
@@ -43,8 +45,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/bounding.h"
-#include "core/mapping_scorer.h"
 #include "core/match_result.h"
 #include "core/matcher.h"
 #include "exec/budget.h"
@@ -178,17 +178,6 @@ class PortfolioRunner {
   PortfolioOptions options_;
   bool consumed_ = false;
 };
-
-/// The standard race card: the exact A* matcher (with `bound`) plus the
-/// advanced and simple heuristics, in that order — the same rungs as
-/// `FallbackMatcher::ExactWithHeuristicFallbacks`, but raced instead of
-/// laddered. When `parallel_search_threads >= 0` the parallel exact
-/// matcher (exec/parallel_astar.h) leads the card with that
-/// `ParallelAStarOptions::threads` value (0 = hardware concurrency);
-/// -1, the default, leaves the card unchanged.
-std::vector<PortfolioStrategy> DefaultPortfolioStrategies(
-    const ScorerOptions& scorer, BoundKind bound,
-    std::uint64_t max_expansions, int parallel_search_threads = -1);
 
 }  // namespace hematch::exec
 

@@ -105,20 +105,26 @@ class JsonParser {
           out->push_back('\f');
           break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Error("truncated \\u escape");
-          }
           unsigned code = 0;
-          const auto [ptr, ec] = std::from_chars(
-              text_.data() + pos_, text_.data() + pos_ + 4, code, 16);
-          if (ec != std::errc() || ptr != text_.data() + pos_ + 4) {
-            return Error("bad \\u escape");
+          HEMATCH_RETURN_IF_ERROR(ParseHex4(&code));
+          if (code >= 0xdc00 && code <= 0xdfff) {
+            return Error("lone low surrogate in \\u escape");
           }
-          pos_ += 4;
-          if (code > 0x7f) {
-            return Error("non-ASCII \\u escape unsupported");
+          if (code >= 0xd800 && code <= 0xdbff) {
+            // A high surrogate must be followed by an escaped low one;
+            // the pair names one code point past the BMP.
+            unsigned low = 0;
+            if (text_.substr(pos_, 2) != "\\u") {
+              return Error("lone high surrogate in \\u escape");
+            }
+            pos_ += 2;
+            HEMATCH_RETURN_IF_ERROR(ParseHex4(&low));
+            if (low < 0xdc00 || low > 0xdfff) {
+              return Error("lone high surrogate in \\u escape");
+            }
+            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
           }
-          out->push_back(static_cast<char>(code));
+          AppendUtf8(code, out);
           break;
         }
         default:
@@ -126,6 +132,40 @@ class JsonParser {
       }
     }
     return Error("unterminated string");
+  }
+
+  // The four hex digits of a \u escape.
+  Status ParseHex4(unsigned* code) {
+    if (pos_ + 4 > text_.size()) {
+      return Error("truncated \\u escape");
+    }
+    const auto [ptr, ec] = std::from_chars(text_.data() + pos_,
+                                           text_.data() + pos_ + 4, *code, 16);
+    if (ec != std::errc() || ptr != text_.data() + pos_ + 4) {
+      return Error("bad \\u escape");
+    }
+    pos_ += 4;
+    return Status::OK();
+  }
+
+  // UTF-8 encoding of a code point below 0x110000 that is not a
+  // surrogate.
+  static void AppendUtf8(unsigned code, std::string* out) {
+    if (code < 0x80) {
+      out->push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out->push_back(static_cast<char>(0xc0 | (code >> 6)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+    } else if (code < 0x10000) {
+      out->push_back(static_cast<char>(0xe0 | (code >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+    } else {
+      out->push_back(static_cast<char>(0xf0 | (code >> 18)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3f)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+    }
   }
 
   std::size_t SkipDigits() {

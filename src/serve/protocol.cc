@@ -210,6 +210,16 @@ Result<ServeRequest> ParseRequest(std::string_view line) {
   return Status::InvalidArgument("unknown op '" + op + "'");
 }
 
+std::uint64_t RequestIdOf(std::string_view line) {
+  const Result<JsonValue> doc = obs::ParseJson(line);
+  std::uint64_t id = 0;
+  if (!doc.ok() || doc->kind != JsonValue::Kind::kObject ||
+      !obs::ReadUintField(*doc, "id", &id)) {
+    return 0;
+  }
+  return id;
+}
+
 std::string BuildPingRequest(std::uint64_t id,
                              std::string_view correlation_id) {
   std::ostringstream os;

@@ -128,6 +128,11 @@ struct ServeRequest {
 /// overflowing value is InvalidArgument, never a truncating cast.
 Result<ServeRequest> ParseRequest(std::string_view line);
 
+/// The `id` of a line that `ParseRequest` rejected, so its BAD_REQUEST
+/// answer can still name the request: the line's `id` when the line is
+/// a JSON object whose `id` is an exact non-negative integer, else 0.
+std::uint64_t RequestIdOf(std::string_view line);
+
 /// --- Request builders (client side; each returns one line, no '\n').
 /// `correlation_id` is optional; when non-empty it rides along and the
 /// server echoes it in the response and its access log.

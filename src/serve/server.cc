@@ -373,7 +373,8 @@ void MatchServer::HandleLine(const std::shared_ptr<Session>& session,
     bad_requests_->Increment();
     const std::size_t bytes_out =
         Send(*session,
-             BuildErrorResponse(0, RequestOp::kPing, ErrorCode::kBadRequest,
+             BuildErrorResponse(RequestIdOf(line), RequestOp::kPing,
+                                ErrorCode::kBadRequest,
                                 parsed.status().message()));
     AccessLogEntry entry;
     entry.op = "invalid";

@@ -1,65 +1,17 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <exception>
 #include <memory>
+#include <string>
 #include <utility>
-#include <vector>
 
 #include "api/fallback_matcher.h"
-#include "core/astar_matcher.h"
-#include "core/heuristic_advanced_matcher.h"
-#include "core/heuristic_simple_matcher.h"
-#include "exec/parallel_astar.h"
+#include "api/match_pipeline.h"
 #include "exec/watchdog.h"
 
 namespace hematch::serve {
-
-namespace {
-
-std::unique_ptr<FallbackMatcher> BuildLadder(const MatchRequestSpec& spec,
-                                             int shed_level,
-                                             const FallbackOptions& fopts) {
-  ScorerOptions scorer;
-  scorer.partial.unmapped_penalty = spec.partial_penalty;
-
-  const bool heuristic_only = shed_level >= 1 || spec.method == "heuristic";
-  if (!heuristic_only) {
-    if (spec.method == "parallel") {
-      // Multi-threaded exact rung; degrades through the same heuristic
-      // pair as the sequential exact ladder when its budget trips.
-      exec::ParallelAStarOptions popts;
-      popts.scorer = scorer;
-      popts.scorer.bound = BoundKind::kBitmapTight;
-      popts.threads = spec.search_threads;
-      std::vector<std::unique_ptr<Matcher>> ladder;
-      ladder.push_back(std::make_unique<exec::ParallelAStarMatcher>(popts));
-      HeuristicAdvancedOptions advanced;
-      advanced.scorer = scorer;
-      ladder.push_back(std::make_unique<HeuristicAdvancedMatcher>(advanced));
-      HeuristicSimpleOptions simple;
-      simple.scorer = scorer;
-      ladder.push_back(std::make_unique<HeuristicSimpleMatcher>(simple));
-      return std::make_unique<FallbackMatcher>(std::move(ladder), fopts);
-    }
-    AStarOptions astar;
-    astar.scorer = scorer;
-    return FallbackMatcher::ExactWithHeuristicFallbacks(astar, fopts);
-  }
-
-  std::vector<std::unique_ptr<Matcher>> ladder;
-  if (shed_level < 2) {
-    HeuristicAdvancedOptions advanced;
-    advanced.scorer = scorer;
-    ladder.push_back(std::make_unique<HeuristicAdvancedMatcher>(advanced));
-  }
-  HeuristicSimpleOptions simple;
-  simple.scorer = scorer;
-  ladder.push_back(std::make_unique<HeuristicSimpleMatcher>(simple));
-  return std::make_unique<FallbackMatcher>(std::move(ladder), fopts);
-}
-
-}  // namespace
 
 double EffectiveDeadlineMs(const MatchRequestSpec& spec,
                            const ServiceOptions& options) {
@@ -99,11 +51,20 @@ MatchOutcome ExecuteMatch(WarmContext& warm, bool swapped,
     ambient = std::make_unique<obs::AmbientTraceScope>(request_recorder);
   }
 
+  // The method's rungs, less the first `shed_level`: shed 1 starts at
+  // the advanced heuristic, shed 2 runs the simple one alone. The
+  // ladder wraps even a lone rung so the reply always carries `stages`.
+  MatchPipelineOptions pipeline;
+  pipeline.method = spec.method == "parallel" ? MatchMethod::kParallelAStar
+                                              : MatchMethod::kPatternTight;
+  pipeline.search_threads = spec.search_threads;
+  pipeline.scorer.partial.unmapped_penalty = spec.partial_penalty;
+  const int skip = std::max(shed_level, spec.method == "heuristic" ? 1 : 0);
   FallbackOptions fopts;
   fopts.budget = budget;
   fopts.cancel = &token;
-  std::unique_ptr<FallbackMatcher> ladder =
-      BuildLadder(spec, shed_level, fopts);
+  const FallbackMatcher ladder(
+      MatcherRungs(pipeline, static_cast<std::size_t>(skip)), fopts);
 
   // Backstop for non-polling stretches: past deadline + grace the token
   // trips, and the shared evaluators (holding the context's drain
@@ -117,7 +78,7 @@ MatchOutcome ExecuteMatch(WarmContext& warm, bool swapped,
 
   Result<MatchResult> run = Status::Internal("match did not run");
   try {
-    run = ladder->Match(sibling);
+    run = ladder.Match(sibling);
   } catch (const std::exception& e) {
     // The ladder isolates per-rung crashes; this boundary catches a
     // crash that escaped every rung (e.g. the last one). The request

@@ -49,8 +49,9 @@ struct MatchOutcome {
 /// Runs `spec` against `warm` (already oriented: |V1| <= |V2| unless
 /// partial mappings are on; `swapped` says whether orientation flipped
 /// the request's log order). `shed_level` degrades the ladder under
-/// saturation: 0 = exact→advanced→simple, 1 = advanced→simple,
-/// 2 = simple only. `token` is the request's cancel token — the server
+/// saturation by dropping that many leading rungs of the method's
+/// `MatcherRungs` (api/match_pipeline.h), never the last: 0 =
+/// exact→advanced→simple, 1 = advanced→simple, 2 = simple only. `token` is the request's cancel token — the server
 /// owns it, registers it for drain, and this function wires it into
 /// the governor and watchdog.
 ///

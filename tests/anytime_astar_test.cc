@@ -32,7 +32,7 @@ void RandomInstance(Rng& rng, std::size_t n1, std::size_t n2,
                     EventLog& log1, EventLog& log2) {
   auto fill = [&](EventLog& log, std::size_t n, const char* prefix) {
     for (std::size_t v = 0; v < n; ++v) {
-      log.InternEvent(prefix + std::to_string(v));
+      log.InternEvent(std::string(prefix).append(std::to_string(v)));
     }
     for (int t = 0; t < 20; ++t) {
       Trace trace(2 + rng.NextBounded(5));

@@ -88,8 +88,8 @@ TEST(VertexEdgeMatcherTest, HonorsExpansionBudget) {
   EventLog log1;
   EventLog log2;
   for (int v = 0; v < 6; ++v) {
-    log1.InternEvent("a" + std::to_string(v));
-    log2.InternEvent("b" + std::to_string(v));
+    log1.InternEvent(std::string("a").append(std::to_string(v)));
+    log2.InternEvent(std::string("b").append(std::to_string(v)));
   }
   for (int t = 0; t < 20; ++t) {
     Trace t1(4);

@@ -25,7 +25,7 @@ std::unique_ptr<MatchingContext> RandomInstance(Rng& rng, std::size_t n1,
                                                 bool vertex_only) {
   auto fill = [&](EventLog& log, std::size_t n) {
     for (std::size_t v = 0; v < n; ++v) {
-      log.InternEvent("e" + std::to_string(v));
+      log.InternEvent(std::string("e").append(std::to_string(v)));
     }
     for (int t = 0; t < 30; ++t) {
       Trace trace(1 + rng.NextBounded(6));

@@ -61,7 +61,7 @@ TEST_P(IncrementalAgreementTest, SnapshotMatchesBatchAtEveryPrefix) {
   EventLog log;
   const std::size_t n = 3 + rng.NextBounded(4);
   for (std::size_t v = 0; v < n; ++v) {
-    log.InternEvent("e" + std::to_string(v));
+    log.InternEvent(std::string("e").append(std::to_string(v)));
   }
   for (int t = 0; t < 25; ++t) {
     Trace trace(1 + rng.NextBounded(7));

@@ -39,10 +39,10 @@ struct ReductionInstance {
 ReductionInstance BuildReduction(const Digraph& g1, const Digraph& g2) {
   ReductionInstance inst;
   for (std::uint32_t v = 0; v < g1.num_vertices(); ++v) {
-    inst.log1.InternEvent("u" + std::to_string(v));
+    inst.log1.InternEvent(std::string("u").append(std::to_string(v)));
   }
   for (std::uint32_t v = 0; v < g2.num_vertices(); ++v) {
-    inst.log2.InternEvent("w" + std::to_string(v));
+    inst.log2.InternEvent(std::string("w").append(std::to_string(v)));
   }
   for (const auto& [u, v] : g1.edges()) {
     inst.log1.AddTrace({u, v});

@@ -2,6 +2,10 @@
 
 #include "api/match_pipeline.h"
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "eval/metrics.h"
@@ -151,6 +155,62 @@ TEST(MatchPipelineTest, BudgetPropagates) {
   EXPECT_EQ(outcome->result.stages[0].termination,
             exec::TerminationReason::kExpansionCap);
   EXPECT_TRUE(outcome->result.mapping.IsComplete());
+}
+
+std::vector<std::string> Names(
+    const std::vector<std::unique_ptr<Matcher>>& rungs) {
+  std::vector<std::string> names;
+  for (const std::unique_ptr<Matcher>& rung : rungs) {
+    names.push_back(rung->name());
+  }
+  return names;
+}
+
+TEST(MatcherRungsTest, SkipDropsLeadingRungsButNeverTheLast) {
+  MatchPipelineOptions options;
+  const std::vector<std::vector<std::string>> expected = {
+      {"Pattern-Tight", "Heuristic-Advanced", "Heuristic-Simple"},
+      {"Heuristic-Advanced", "Heuristic-Simple"},
+      {"Heuristic-Simple"},
+      {"Heuristic-Simple"},
+      {"Heuristic-Simple"},
+  };
+  for (std::size_t skip = 0; skip < expected.size(); ++skip) {
+    EXPECT_EQ(Names(MatcherRungs(options, skip)), expected[skip]) << skip;
+  }
+  options.degrade = false;
+  EXPECT_EQ(Names(MatcherRungs(options, 2)),
+            std::vector<std::string>{"Pattern-Tight"});
+}
+
+TEST(MatcherRungsTest, NonExactMethodIsItsOwnOnlyRung) {
+  MatchPipelineOptions options;
+  for (MatchMethod method :
+       {MatchMethod::kHeuristicSimple, MatchMethod::kHeuristicAdvanced,
+        MatchMethod::kVertex, MatchMethod::kVertexEdge,
+        MatchMethod::kIterative, MatchMethod::kEntropy}) {
+    options.method = method;
+    const std::vector<std::unique_ptr<Matcher>> rungs =
+        MatcherRungs(options);
+    ASSERT_EQ(rungs.size(), 1u) << static_cast<int>(method);
+    EXPECT_EQ(MakeMatcher(options)->name(), rungs.front()->name());
+  }
+}
+
+TEST(MatcherRungsTest, RaceCardIsEveryRungWithOrWithoutDegrade) {
+  MatchPipelineOptions options;
+  options.method = MatchMethod::kParallelAStar;
+  for (bool degrade : {true, false}) {
+    options.degrade = degrade;
+    std::vector<std::string> names;
+    for (const exec::PortfolioStrategy& strategy : RaceCard(options)) {
+      EXPECT_EQ(strategy.name, strategy.matcher->name());
+      names.push_back(strategy.name);
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{"Pattern-Parallel",
+                                               "Heuristic-Advanced",
+                                               "Heuristic-Simple"}));
+  }
 }
 
 }  // namespace

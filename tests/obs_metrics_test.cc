@@ -310,6 +310,31 @@ TEST(JsonParserTest, KeepsIntegerLiteralsExact) {
   EXPECT_FALSE(items[6].AsUint64().has_value());
 }
 
+TEST(JsonParserTest, DecodesUnicodeEscapesToUtf8) {
+  // What Python's json.dumps sends for "é", "😀" (a surrogate pair) and
+  // "ward é" by default.
+  Result<JsonValue> doc =
+      ParseJson(R"(["\u00e9", "\ud83d\ude00", "ward \u00E9", "\u20ac"])");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  ASSERT_EQ(doc->items.size(), 4u);
+  EXPECT_EQ(doc->items[0].text, "\xc3\xa9");
+  EXPECT_EQ(doc->items[1].text, "\xf0\x9f\x98\x80");
+  EXPECT_EQ(doc->items[2].text, "ward \xc3\xa9");
+  EXPECT_EQ(doc->items[3].text, "\xe2\x82\xac");
+  // Raw UTF-8 and its escaped spelling parse to the same bytes.
+  EXPECT_EQ(ParseJson("[\"\xc3\xa9\"]")->items[0].text,
+            doc->items[0].text);
+}
+
+TEST(JsonParserTest, RejectsLoneSurrogates) {
+  EXPECT_FALSE(ParseJson(R"(["\ud800"])").ok());
+  EXPECT_FALSE(ParseJson(R"(["\ud800x"])").ok());
+  EXPECT_FALSE(ParseJson(R"(["\ud800\u0041"])").ok());
+  EXPECT_FALSE(ParseJson(R"(["\ud800\ud800"])").ok());
+  EXPECT_FALSE(ParseJson(R"(["\udc00"])").ok());
+  EXPECT_FALSE(ParseJson(R"(["\ud83d\ude0"])").ok());
+}
+
 TEST(MetricsJsonTest, EscapesAwkwardNames) {
   TelemetrySnapshot snapshot;
   snapshot.counters["quote\"back\\slash\ntab\t"] = 1;

@@ -56,8 +56,7 @@ EventLog TargetLog() {
 }
 
 std::vector<PortfolioStrategy> DefaultCard() {
-  return exec::DefaultPortfolioStrategies(ScorerOptions{}, BoundKind::kTight,
-                                          50'000'000);
+  return RaceCard(MatchPipelineOptions{});
 }
 
 // The full pattern set (vertex + edge patterns) for `log1`, as the

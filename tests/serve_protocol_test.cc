@@ -146,6 +146,31 @@ TEST(ServeProtocolTest, RejectsIntegerFieldsThatAreNotExactIntegers) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(ServeProtocolTest, RequestIdOfReadsOnlyExactIds) {
+  EXPECT_EQ(RequestIdOf(R"({"op":"match","id":7,"search_threads":2000})"),
+            7u);
+  EXPECT_EQ(RequestIdOf(R"({"id":18446744073709551615})"),
+            18446744073709551615u);
+  EXPECT_EQ(RequestIdOf(R"({"id":7.5})"), 0u);
+  EXPECT_EQ(RequestIdOf(R"({"id":-7})"), 0u);
+  EXPECT_EQ(RequestIdOf(R"({"id":"7"})"), 0u);
+  EXPECT_EQ(RequestIdOf(R"([7])"), 0u);
+  EXPECT_EQ(RequestIdOf("not json"), 0u);
+}
+
+TEST(ServeProtocolTest, EscapedUnicodeNamesRoundTrip) {
+  // Python's json.dumps escapes non-ASCII by default.
+  const Result<ServeRequest> req = ParseRequest(
+      R"({"schema":"hematch.serve.v1","op":"register_log","id":4,)"
+      R"("name":"caf\u00e9 \ud83d\ude00","content":"case,event\n1,a\n"})");
+  ASSERT_TRUE(req.ok()) << req.status();
+  EXPECT_EQ(req->register_log.name, "caf\xc3\xa9 \xf0\x9f\x98\x80");
+  const Result<ServeRequest> again =
+      ParseRequest(BuildRegisterLogRequest(req->id, req->register_log));
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->register_log.name, req->register_log.name);
+}
+
 TEST(ServeProtocolTest, IntegerFieldsRoundTripExactly) {
   // 2^53 + 1: the first integer a double cannot hold.
   const Result<ServeRequest> big = ParseRequest(

@@ -137,6 +137,26 @@ TEST(ServeServerTest, MalformedLineIsBadRequestNotDisconnect) {
   ASSERT_TRUE(pong.ok() && pong->ok);
 }
 
+TEST(ServeServerTest, BadRequestEchoesTheRequestId) {
+  ServerFixture fixture(ServerOptions{});
+  ServeClient client = fixture.NewClient();
+  // The id parsed; only search_threads is out of range. A client that
+  // pipelines requests must learn which one was rejected.
+  Result<ServeResponse> resp = client.Call(
+      R"({"schema":"hematch.serve.v1","op":"match","id":7,)"
+      R"("log1":"src","log2":"dst","search_threads":2000})");
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_FALSE(resp->ok);
+  EXPECT_EQ(resp->error_code, "BAD_REQUEST");
+  EXPECT_EQ(resp->id, 7u);
+  // An id that is not an exact integer cannot be echoed.
+  Result<ServeResponse> inexact = client.Call(
+      R"({"schema":"hematch.serve.v1","op":"ping","id":7.5})");
+  ASSERT_TRUE(inexact.ok()) << inexact.status();
+  EXPECT_EQ(inexact->error_code, "BAD_REQUEST");
+  EXPECT_EQ(inexact->id, 0u);
+}
+
 TEST(ServeServerTest, OversizedLineIsRejectedAndBounded) {
   // A client streaming bytes without a newline must not grow the
   // session buffer without bound: past max_request_bytes the server

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/match_pipeline.h"
 #include "core/astar_matcher.h"
 #include "core/pattern_set.h"
 #include "exec/budget.h"
@@ -119,7 +120,7 @@ TEST(TraceRecorderTest, RingOverwriteCountsDroppedEvents) {
   options.per_thread_capacity = 8;
   TraceRecorder recorder(options);
   for (int i = 0; i < 20; ++i) {
-    recorder.RecordInstant("i" + std::to_string(i), "test");
+    recorder.RecordInstant(std::string("i").append(std::to_string(i)), "test");
   }
   EXPECT_EQ(recorder.Snapshot().size(), 8u);
   EXPECT_EQ(recorder.dropped_events(), 12u);
@@ -250,10 +251,7 @@ TEST(TracePortfolioTest, StrategySpansParentUnderOneRunRoot) {
   exec::PortfolioOptions options;
   options.trace_recorder = std::make_shared<TraceRecorder>();
   const std::shared_ptr<TraceRecorder> recorder = options.trace_recorder;
-  exec::PortfolioRunner runner(
-      exec::DefaultPortfolioStrategies(ScorerOptions{}, BoundKind::kTight,
-                                       50'000'000),
-      options);
+  exec::PortfolioRunner runner(RaceCard(MatchPipelineOptions{}), options);
   Result<exec::PortfolioOutcome> outcome = runner.Run(
       log1, log2, BuildPatternSet(DependencyGraph::Build(log1), {}));
   ASSERT_TRUE(outcome.ok()) << outcome.status();
@@ -342,14 +340,17 @@ TEST(WatchdogHeartbeatTest, DeadlineStillFiresWhileBeating) {
   options.deadline_ms = 10.0;
   options.token = &token;
   options.heartbeat_ms = 5.0;
-  exec::Watchdog* self = nullptr;
+  // Published to the watchdog's own thread after construction, hence
+  // atomic.
+  std::atomic<exec::Watchdog*> self{nullptr};
   options.heartbeat = [&](std::uint64_t) {
-    if (self != nullptr && self->fired()) {
+    const exec::Watchdog* watchdog = self.load();
+    if (watchdog != nullptr && watchdog->fired()) {
       beats_after_fire.fetch_add(1, std::memory_order_relaxed);
     }
   };
   exec::Watchdog watchdog(std::move(options));
-  self = &watchdog;
+  self.store(&watchdog);
   while (!watchdog.fired()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

@@ -82,17 +82,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "api/fallback_matcher.h"
-#include "baselines/entropy_matcher.h"
-#include "baselines/iterative_matcher.h"
-#include "baselines/vertex_edge_matcher.h"
-#include "baselines/vertex_matcher.h"
+#include "api/match_pipeline.h"
 #include "common/strings.h"
-#include "core/astar_matcher.h"
-#include "core/heuristic_advanced_matcher.h"
-#include "core/heuristic_simple_matcher.h"
 #include "core/mapping_io.h"
 #include "core/one_to_n.h"
 #include "core/pattern_set.h"
@@ -100,7 +95,6 @@
 #include "eval/runner.h"
 #include "eval/table.h"
 #include "exec/budget.h"
-#include "exec/parallel_astar.h"
 #include "exec/portfolio.h"
 #include "gen/log_corruptor.h"
 #include "gen/pattern_miner.h"
@@ -256,83 +250,39 @@ Result<EventLog> LoadLog(const std::string& path, bool xes_strict,
   return ReadTraceLogFile(path);
 }
 
+// The --method slugs, in the order `--method all` runs them.
+constexpr std::pair<std::string_view, MatchMethod> kMethods[] = {
+    {"pattern-tight", MatchMethod::kPatternTight},
+    {"pattern-simple", MatchMethod::kPatternSimple},
+    {"pattern-parallel", MatchMethod::kParallelAStar},
+    {"heuristic-simple", MatchMethod::kHeuristicSimple},
+    {"heuristic-advanced", MatchMethod::kHeuristicAdvanced},
+    {"vertex", MatchMethod::kVertex},
+    {"vertex-edge", MatchMethod::kVertexEdge},
+    {"iterative", MatchMethod::kIterative},
+    {"entropy", MatchMethod::kEntropy},
+};
+
+std::optional<MatchMethod> MethodForSlug(std::string_view slug) {
+  for (const auto& [name, match_method] : kMethods) {
+    if (name == slug) {
+      return match_method;
+    }
+  }
+  return std::nullopt;
+}
+
+// The matchers `method` names (every one for "all"), from the library's
+// factory: an exact method comes as its fallback ladder unless
+// `options.degrade` is off.
 std::vector<std::unique_ptr<Matcher>> MakeMatchers(
-    const std::string& method, std::uint64_t budget,
-    const exec::RunBudget& run_budget, bool degrade,
-    const ScorerOptions& scorer, int search_threads) {
+    const std::string& method, MatchPipelineOptions options) {
   std::vector<std::unique_ptr<Matcher>> matchers;
-  AStarOptions tight;
-  tight.scorer = scorer;
-  tight.max_expansions = budget;
-  AStarOptions simple = tight;
-  simple.scorer.bound = BoundKind::kSimple;
-  HeuristicSimpleOptions hs;
-  hs.scorer = scorer;
-  HeuristicAdvancedOptions ha;
-  ha.scorer = scorer;
-  VertexOptions vx;
-  vx.partial = scorer.partial;
-  VertexEdgeOptions ve;
-  ve.partial = scorer.partial;
-  ve.max_expansions = budget;
-
-  // The exact methods degrade down the heuristic ladder when their
-  // budget trips (unless --no-degrade).
-  auto exact = [&](const AStarOptions& astar) -> std::unique_ptr<Matcher> {
-    if (!degrade) {
-      return std::make_unique<AStarMatcher>(astar);
+  for (const auto& [slug, match_method] : kMethods) {
+    if (method == "all" || method == slug) {
+      options.method = match_method;
+      matchers.push_back(MakeMatcher(options));
     }
-    FallbackOptions fallback;
-    fallback.budget = run_budget;
-    return FallbackMatcher::ExactWithHeuristicFallbacks(astar, fallback);
-  };
-
-  auto want = [&](const char* name) {
-    return method == "all" || method == name;
-  };
-  if (want("pattern-tight")) {
-    matchers.push_back(exact(tight));
-  }
-  if (want("pattern-simple")) {
-    matchers.push_back(exact(simple));
-  }
-  if (want("pattern-parallel")) {
-    exec::ParallelAStarOptions popts;
-    popts.scorer = scorer;
-    popts.scorer.bound = BoundKind::kBitmapTight;
-    popts.threads = search_threads;
-    popts.max_expansions = budget;
-    auto parallel = std::make_unique<exec::ParallelAStarMatcher>(popts);
-    if (!degrade) {
-      matchers.push_back(std::move(parallel));
-    } else {
-      std::vector<std::unique_ptr<Matcher>> ladder;
-      ladder.push_back(std::move(parallel));
-      ladder.push_back(std::make_unique<HeuristicAdvancedMatcher>(ha));
-      ladder.push_back(std::make_unique<HeuristicSimpleMatcher>(hs));
-      FallbackOptions fallback;
-      fallback.budget = run_budget;
-      matchers.push_back(
-          std::make_unique<FallbackMatcher>(std::move(ladder), fallback));
-    }
-  }
-  if (want("heuristic-simple")) {
-    matchers.push_back(std::make_unique<HeuristicSimpleMatcher>(hs));
-  }
-  if (want("heuristic-advanced")) {
-    matchers.push_back(std::make_unique<HeuristicAdvancedMatcher>(ha));
-  }
-  if (want("vertex")) {
-    matchers.push_back(std::make_unique<VertexMatcher>(vx));
-  }
-  if (want("vertex-edge")) {
-    matchers.push_back(std::make_unique<VertexEdgeMatcher>(ve));
-  }
-  if (want("iterative")) {
-    matchers.push_back(std::make_unique<IterativeMatcher>());
-  }
-  if (want("entropy")) {
-    matchers.push_back(std::make_unique<EntropyMatcher>());
   }
   return matchers;
 }
@@ -587,6 +537,13 @@ int main(int argc, char** argv) {
   double best_objective = -1.0;
   std::vector<RunRecord> records;
 
+  MatchPipelineOptions pipeline;
+  pipeline.max_expansions = budget;
+  pipeline.budget = run_budget;
+  pipeline.cancel = &g_interrupt;
+  pipeline.degrade = degrade;
+  pipeline.search_threads = search_threads;
+  pipeline.scorer.partial.unmapped_penalty = partial_penalty;
   if (portfolio) {
     if (method != "pattern-tight" && method != "pattern-simple" &&
         method != "pattern-parallel") {
@@ -595,12 +552,7 @@ int main(int argc, char** argv) {
                 << method << "')\n";
       return 2;
     }
-    ScorerOptions scorer;
-    scorer.partial.unmapped_penalty = partial_penalty;
-    const BoundKind bound = method == "pattern-simple" ? BoundKind::kSimple
-                                                       : BoundKind::kTight;
-    const int parallel_threads =
-        method == "pattern-parallel" ? search_threads : -1;
+    pipeline.method = *MethodForSlug(method);
     exec::PortfolioOptions popts;
     popts.budget = run_budget;
     popts.threads = threads;
@@ -610,10 +562,7 @@ int main(int argc, char** argv) {
       popts.heartbeat_ms = heartbeat_ms;
       popts.heartbeat = emit_heartbeat;
     }
-    exec::PortfolioRunner runner(
-        exec::DefaultPortfolioStrategies(scorer, bound, budget,
-                                         parallel_threads),
-        popts);
+    exec::PortfolioRunner runner(RaceCard(pipeline), popts);
     Result<exec::PortfolioOutcome> raced =
         runner.Run(*log1, *log2, BuildPatternSet(g1, complex));
     if (!raced.ok()) {
@@ -662,11 +611,7 @@ int main(int argc, char** argv) {
                                           &log2->dictionary())});
     records.push_back(std::move(record));
   } else {
-    ScorerOptions scorer;
-    scorer.partial.unmapped_penalty = partial_penalty;
-    const auto matchers =
-        MakeMatchers(method, budget, run_budget, degrade, scorer,
-                     search_threads);
+    const auto matchers = MakeMatchers(method, pipeline);
     if (matchers.empty()) {
       std::cerr << "unknown --method '" << method << "'\n";
       PrintUsageAndExit(2);
