@@ -581,6 +581,14 @@ Result<MatchResult> ParallelAStarMatcher::Match(
   if (crash != nullptr) {
     std::rethrow_exception(crash);
   }
+  // Workers that drain a small search between two polls still answer to
+  // the governor for what they expanded since the last one.
+  if (const std::uint64_t exp =
+          rt.total_expansions.load(std::memory_order_relaxed);
+      !governor_tripped && exp > charged &&
+      !governor.CheckExpansions(exp - charged)) {
+    governor_tripped = true;
+  }
 
   MatchResult result;
   result.nodes_visited = rt.total_pops.load(std::memory_order_relaxed);
