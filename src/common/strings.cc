@@ -15,13 +15,17 @@ std::vector<std::string> SplitString(std::string_view input, char delimiter) {
 }
 
 std::string_view StripWhitespace(std::string_view input) {
-  const char* kWhitespace = " \t\r\n\v\f";
-  const std::size_t begin = input.find_first_not_of(kWhitespace);
-  if (begin == std::string_view::npos) {
-    return std::string_view();
+  // " \t\n\v\f\r", tested inline: parsers strip every field they read.
+  const auto space = [](char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  };
+  while (!input.empty() && space(input.front())) {
+    input.remove_prefix(1);
   }
-  const std::size_t end = input.find_last_not_of(kWhitespace);
-  return input.substr(begin, end - begin + 1);
+  while (!input.empty() && space(input.back())) {
+    input.remove_suffix(1);
+  }
+  return input;
 }
 
 std::string JoinStrings(const std::vector<std::string>& parts,
@@ -39,6 +43,24 @@ std::string JoinStrings(const std::vector<std::string>& parts,
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
+}
+
+void AppendUtf8(char32_t code, std::string* out) {
+  if (code < 0x80) {
+    out->push_back(static_cast<char>(code));
+  } else if (code < 0x800) {
+    out->push_back(static_cast<char>(0xc0 | (code >> 6)));
+    out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+  } else if (code < 0x10000) {
+    out->push_back(static_cast<char>(0xe0 | (code >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+    out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+  } else {
+    out->push_back(static_cast<char>(0xf0 | (code >> 18)));
+    out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3f)));
+    out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+    out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+  }
 }
 
 }  // namespace hematch

@@ -21,6 +21,10 @@ std::string JoinStrings(const std::vector<std::string>& parts,
 /// True when `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
+/// Appends the UTF-8 encoding of `code`, a Unicode scalar value (below
+/// 0x110000 and not a surrogate; callers check).
+void AppendUtf8(char32_t code, std::string* out);
+
 }  // namespace hematch
 
 #endif  // HEMATCH_COMMON_STRINGS_H_

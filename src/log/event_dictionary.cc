@@ -1,30 +1,46 @@
 #include "log/event_dictionary.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace hematch {
 
-EventId EventDictionary::Intern(std::string_view name) {
-  auto it = ids_.find(std::string(name));
-  if (it != ids_.end()) {
-    return it->second;
+std::size_t EventDictionary::Slot(std::string_view name) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = std::hash<std::string_view>{}(name) & mask;;
+       i = (i + 1) & mask) {
+    if (slots_[i] == kInvalidEventId || names_[slots_[i]] == name) {
+      return i;
+    }
   }
-  const EventId id = static_cast<EventId>(names_.size());
-  names_.emplace_back(name);
-  ids_.emplace(names_.back(), id);
-  return id;
+}
+
+EventId EventDictionary::Intern(std::string_view name) {
+  if (2 * names_.size() >= slots_.size()) {
+    slots_.assign(std::max<std::size_t>(16, 4 * names_.size()),
+                  kInvalidEventId);
+    for (EventId id = 0; id < names_.size(); ++id) {
+      slots_[Slot(names_[id])] = id;
+    }
+  }
+  EventId& slot = slots_[Slot(name)];
+  if (slot == kInvalidEventId) {
+    slot = static_cast<EventId>(names_.size());
+    names_.emplace_back(name);
+  }
+  return slot;
 }
 
 Result<EventId> EventDictionary::Lookup(std::string_view name) const {
-  auto it = ids_.find(std::string(name));
-  if (it == ids_.end()) {
+  if (!Contains(name)) {
     return Status::NotFound("unknown event name: " + std::string(name));
   }
-  return it->second;
+  return slots_[Slot(name)];
 }
 
 bool EventDictionary::Contains(std::string_view name) const {
-  return ids_.find(std::string(name)) != ids_.end();
+  return !slots_.empty() && slots_[Slot(name)] != kInvalidEventId;
 }
 
 const std::string& EventDictionary::Name(EventId id) const {

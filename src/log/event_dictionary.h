@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -49,8 +48,13 @@ class EventDictionary {
   const std::vector<std::string>& names() const { return names_; }
 
  private:
+  // The slot holding `name`'s id, or the empty one where it would go.
+  std::size_t Slot(std::string_view name) const;
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, EventId> ids_;
+  // Ids by name hash, probed linearly (kInvalidEventId marks a free slot),
+  // at most half full: one hash and no allocation per lookup.
+  std::vector<EventId> slots_;
 };
 
 }  // namespace hematch

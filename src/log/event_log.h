@@ -16,18 +16,10 @@ namespace hematch {
 /// This is the central data container of the library (Section 2.1 of the
 /// paper). The dictionary is owned by the log; traces store dense
 /// `EventId`s, so all downstream statistics (dependency graph, pattern
-/// frequencies, inverted indices) are integer-indexed.
+/// frequencies, inverted indices) are integer-indexed. Logs are plain
+/// values: projection copies them, builders move them.
 class EventLog {
  public:
-  EventLog() = default;
-
-  /// Deep copies are meaningful (projection produces new logs) and cheap
-  /// relative to the matching algorithms; moves are supported for builders.
-  EventLog(const EventLog&) = default;
-  EventLog& operator=(const EventLog&) = default;
-  EventLog(EventLog&&) = default;
-  EventLog& operator=(EventLog&&) = default;
-
   /// Appends a trace of already-interned event ids.
   /// All ids must be valid for this log's dictionary.
   void AddTrace(Trace trace);
@@ -41,7 +33,6 @@ class EventLog {
   EventId InternEvent(std::string_view name) { return dict_.Intern(name); }
 
   const EventDictionary& dictionary() const { return dict_; }
-  EventDictionary& mutable_dictionary() { return dict_; }
 
   const std::vector<Trace>& traces() const { return traces_; }
   std::size_t num_traces() const { return traces_.size(); }

@@ -1,14 +1,13 @@
 #include "log/log_io.h"
 
 #include <algorithm>
-#include <cctype>
-#include <fstream>
-#include <istream>
-#include <map>
 #include <ostream>
-#include <sstream>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/file.h"
 #include "common/strings.h"
 #include "obs/trace.h"
 
@@ -16,74 +15,83 @@ namespace hematch {
 
 namespace {
 
-// One parsed CSV row, before grouping into traces.
+// Pops the first line off `rest` (up to a '\n', or all of it), minus a
+// trailing '\r': CR line endings are valid encodings, not defects.
+std::string_view PopLine(std::string_view& rest) {
+  const std::size_t end = rest.find('\n');
+  std::string_view line = rest.substr(0, end);
+  rest.remove_prefix(end == std::string_view::npos ? rest.size() : end + 1);
+  if (!line.empty() && line.back() == '\r') {
+    line.remove_suffix(1);
+  }
+  return line;
+}
+
+// Calls `visit(index, field)` for each ','-separated field of `line`
+// (empty ones included) and returns how many there were.
+template <typename Visit>
+std::size_t ForEachField(std::string_view line, Visit visit) {
+  for (std::size_t index = 0;; ++index) {
+    const std::size_t comma = line.find(',');
+    visit(index, StripWhitespace(line.substr(0, comma)));
+    if (comma == std::string_view::npos) {
+      return index + 1;
+    }
+    line.remove_prefix(comma + 1);
+  }
+}
+
+// One kept CSV row: views into the parsed text.
 struct CsvRow {
-  std::string case_id;
-  std::string event;
-  std::string timestamp;  // Empty when the file has no timestamp column.
-  std::size_t file_order = 0;
+  std::size_t case_index = 0;
+  std::string_view event;
+  std::string_view time;    // Empty when absent.
+  std::string_view digits;  // IntegerDigits(time): its sort key, made once.
 };
 
-bool IsAllDigits(std::string_view s) {
-  if (s.empty()) return false;
-  return std::all_of(s.begin(), s.end(),
-                     [](unsigned char c) { return std::isdigit(c) != 0; });
-}
-
-// Orders timestamps: numerically when both sides are integers, otherwise
-// lexicographically (correct for ISO-8601).
-bool TimestampLess(const std::string& a, const std::string& b) {
-  if (IsAllDigits(a) && IsAllDigits(b)) {
-    if (a.size() != b.size()) return a.size() < b.size();
+// `time` without leading zeros ("0" for zero) if it is an integer, else "".
+std::string_view IntegerDigits(std::string_view time) {
+  if (time.empty() || !std::all_of(time.begin(), time.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      })) {
+    return {};
   }
-  return a < b;
-}
-
-std::string LowerAscii(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
+  return time.substr(std::min(time.find_first_not_of('0'), time.size() - 1));
 }
 
 }  // namespace
 
-Result<EventLog> ReadTraceLog(std::istream& input) {
+Result<EventLog> ParseTraceLog(std::string_view text) {
   // Ingestion predates tracing, so the span recorder arrives ambiently
   // (see obs/trace.h) instead of through a signature change.
   obs::ScopedSpan span(obs::AmbientTraceRecorder(), "log.read_trace", "log");
   EventLog log;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(input, line)) {
-    ++line_no;
-    std::string_view stripped = StripWhitespace(line);
-    if (stripped.empty() || stripped.front() == '#') {
+  while (!text.empty()) {
+    const std::string_view line = StripWhitespace(PopLine(text));
+    if (line.empty() || line.front() == '#') {
       continue;
     }
-    std::vector<std::string> names;
-    std::istringstream fields{std::string(stripped)};
-    std::string name;
-    while (fields >> name) {
-      names.push_back(name);
+    Trace trace;
+    for (std::string_view rest = line; !rest.empty();) {
+      const std::size_t end =
+          std::min(rest.find_first_of(" \t\r\n\v\f"), rest.size());
+      trace.push_back(log.InternEvent(rest.substr(0, end)));
+      rest = StripWhitespace(rest.substr(end));
     }
-    log.AddTraceByNames(names);
-  }
-  if (input.bad()) {
-    return Status::ParseError("I/O failure while reading trace log");
+    log.AddTrace(std::move(trace));
   }
   span.AddArg("traces", static_cast<double>(log.num_traces()));
   span.AddArg("events", static_cast<double>(log.num_events()));
   return log;
 }
 
+Result<EventLog> ReadTraceLog(std::istream& input) {
+  return ParseTraceLog(ReadAll(input));
+}
+
 Result<EventLog> ReadTraceLogFile(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::NotFound("cannot open trace log file: " + path);
-  }
-  return ReadTraceLog(file);
+  HEMATCH_ASSIGN_OR_RETURN(const std::string text, ReadFile(path));
+  return ParseTraceLog(text);
 }
 
 Status WriteTraceLog(const EventLog& log, std::ostream& output) {
@@ -98,86 +106,88 @@ Status WriteTraceLog(const EventLog& log, std::ostream& output) {
   return Status::OK();
 }
 
-Result<EventLog> ReadCsvLog(std::istream& input, const CsvReadOptions& options,
-                            CsvReadStats* stats) {
+Result<EventLog> ParseCsvLog(std::string_view text,
+                             const CsvReadOptions& options,
+                             CsvReadStats* stats) {
   obs::ScopedSpan span(obs::AmbientTraceRecorder(), "log.read_csv", "log");
   CsvReadStats local_stats;
-  if (stats == nullptr) {
-    stats = &local_stats;
-  }
+  stats = stats == nullptr ? &local_stats : stats;
   *stats = CsvReadStats{};
-  std::string line;
-  if (!std::getline(input, line)) {
+  if (text.empty()) {
     return Status::ParseError("CSV log is empty (missing header)");
   }
-  // A UTF-8 byte-order mark on the header and CR line endings are valid
-  // encodings (Windows exports), not defects: strip them in both modes.
-  if (line.size() >= 3 && line[0] == '\xEF' && line[1] == '\xBB' &&
-      line[2] == '\xBF') {
-    line.erase(0, 3);
+  // A UTF-8 byte-order mark on the header is a valid encoding, not a
+  // defect: strip it in both modes.
+  std::string_view header = PopLine(text);
+  if (StartsWith(header, "\xEF\xBB\xBF")) {
+    header.remove_prefix(3);
   }
-  auto strip_cr = [](std::string& text) {
-    if (!text.empty() && text.back() == '\r') {
-      text.pop_back();
-    }
-  };
-  strip_cr(line);
-  const std::vector<std::string> header = SplitString(line, ',');
-  int case_col = -1;
-  int event_col = -1;
-  int time_col = -1;
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    const std::string name = LowerAscii(StripWhitespace(header[i]));
+  constexpr std::size_t kAbsent = ~std::size_t{0};
+  std::size_t case_col = kAbsent;
+  std::size_t event_col = kAbsent;
+  std::size_t time_col = kAbsent;
+  ForEachField(header, [&](std::size_t i, std::string_view field) {
+    std::string name(field);
+    std::transform(name.begin(), name.end(), name.begin(), [](char c) {
+      return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+    });
     if (name == "case" || name == "case_id" || name == "trace" ||
         name == "trace_id") {
-      case_col = static_cast<int>(i);
+      case_col = i;
     } else if (name == "event" || name == "activity" || name == "event_name") {
-      event_col = static_cast<int>(i);
+      event_col = i;
     } else if (name == "timestamp" || name == "time" || name == "ts") {
-      time_col = static_cast<int>(i);
+      time_col = i;
     }
-  }
-  if (case_col < 0 || event_col < 0) {
+  });
+  if (case_col == kAbsent || event_col == kAbsent) {
     return Status::ParseError(
-        "CSV header must contain 'case' and 'event' columns; got: " + line);
+        "CSV header must contain 'case' and 'event' columns; got: " +
+        std::string(header));
   }
+  // A ragged row that still reaches the case and event columns only
+  // lost its timestamp: salvageable. Anything shorter is not a row.
+  const std::size_t required = std::max(case_col, event_col) + 1;
+  const std::size_t needed =
+      time_col == kAbsent ? required : std::max(required, time_col + 1);
 
+  // Cases are numbered by first appearance. Exports list a case's rows
+  // together, so the lookup is skipped while the case repeats.
+  std::unordered_map<std::string_view, std::size_t> cases;
+  std::vector<bool> by_text;  // Per case: sorts by text, not by number.
+  std::string_view last_case_id;
+  std::size_t last_case = 0;
   std::vector<CsvRow> rows;
-  std::size_t line_no = 1;
-  while (std::getline(input, line)) {
-    ++line_no;
-    strip_cr(line);
+  rows.reserve(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) +
+      1);
+  for (std::size_t line_no = 2; !text.empty(); ++line_no) {
+    const std::string_view line = PopLine(text);
     if (StripWhitespace(line).empty()) {
       continue;
     }
-    const std::vector<std::string> fields = SplitString(line, ',');
-    const std::size_t needed = static_cast<std::size_t>(
-        std::max({case_col, event_col, time_col}) + 1);
-    // A ragged row that still reaches the case and event columns only
-    // lost its timestamp: salvageable. Anything shorter is not a row.
-    const std::size_t required = static_cast<std::size_t>(
-        std::max(case_col, event_col) + 1);
-    bool defective = false;
-    if (fields.size() < needed) {
-      if (options.strict) {
-        return Status::ParseError("CSV line " + std::to_string(line_no) +
-                                  " has too few fields: " + line);
-      }
-      defective = true;
-      if (fields.size() < required) {
-        ++stats->salvaged_rows;
-        continue;
-      }
-    }
     CsvRow row;
-    row.case_id = std::string(StripWhitespace(fields[case_col]));
-    row.event = std::string(StripWhitespace(fields[event_col]));
-    if (time_col >= 0 &&
-        static_cast<std::size_t>(time_col) < fields.size()) {
-      row.timestamp = std::string(StripWhitespace(fields[time_col]));
+    std::string_view case_id;
+    const std::size_t fields =
+        ForEachField(line, [&](std::size_t i, std::string_view field) {
+          if (i == case_col) {
+            case_id = field;
+          } else if (i == event_col) {
+            row.event = field;
+          } else if (i == time_col) {
+            row.time = field;
+          }
+        });
+    const bool ragged = fields < needed;
+    if (ragged && options.strict) {
+      return Status::ParseError("CSV line " + std::to_string(line_no) +
+                                " has too few fields: " + std::string(line));
     }
-    row.file_order = rows.size();
-    if (row.case_id.empty() || row.event.empty()) {
+    if (ragged && fields < required) {
+      ++stats->salvaged_rows;
+      continue;
+    }
+    if (case_id.empty() || row.event.empty()) {
       if (options.strict) {
         return Status::ParseError("CSV line " + std::to_string(line_no) +
                                   " has an empty case or event field");
@@ -185,39 +195,50 @@ Result<EventLog> ReadCsvLog(std::istream& input, const CsvReadOptions& options,
       ++stats->salvaged_rows;
       continue;
     }
-    if (defective) {
+    if (ragged) {
       ++stats->salvaged_rows;
     }
-    rows.push_back(std::move(row));
-  }
-  if (input.bad()) {
-    return Status::ParseError("I/O failure while reading CSV log");
-  }
-
-  // Group rows by case, preserving first-appearance order of cases so the
-  // resulting trace order (and thus event first-seen order) is stable.
-  std::map<std::string, std::size_t> case_index;
-  std::vector<std::vector<CsvRow>> grouped;
-  for (CsvRow& row : rows) {
-    auto [it, inserted] = case_index.emplace(row.case_id, grouped.size());
-    if (inserted) {
-      grouped.emplace_back();
+    if (case_id != last_case_id) {
+      last_case_id = case_id;
+      last_case = cases.try_emplace(case_id, cases.size()).first->second;
+      by_text.resize(cases.size());
     }
-    grouped[it->second].push_back(std::move(row));
+    row.case_index = last_case;
+    row.digits = IntegerDigits(row.time);
+    by_text[last_case] =
+        by_text[last_case] || (!row.time.empty() && row.digits.empty());
+    rows.push_back(row);
   }
 
+  // Order rows by case, then by time: a case whose non-empty timestamps
+  // are all integers by number, any other by text; empty ones first. The
+  // sort is stable, so ties keep file order, and a file that is already
+  // in this order (the usual export) is only checked.
+  const auto key = [&by_text](const CsvRow& row) {
+    return by_text[row.case_index]
+               ? std::tuple(row.case_index, std::size_t{0}, row.time)
+               : std::tuple(row.case_index, row.digits.size(), row.digits);
+  };
+  const auto before = [&key](const CsvRow& a, const CsvRow& b) {
+    return key(a) < key(b);
+  };
+  if (!std::is_sorted(rows.begin(), rows.end(), before)) {
+    std::stable_sort(rows.begin(), rows.end(), before);
+  }
+  // Names are interned in the order they first occur in the ordered
+  // traces, which is the id order every caller relies on.
   EventLog log;
-  for (std::vector<CsvRow>& group : grouped) {
-    std::stable_sort(group.begin(), group.end(),
-                     [](const CsvRow& a, const CsvRow& b) {
-                       return TimestampLess(a.timestamp, b.timestamp);
-                     });
-    std::vector<std::string> names;
-    names.reserve(group.size());
-    for (const CsvRow& row : group) {
-      names.push_back(row.event);
+  for (auto first = rows.begin(); first != rows.end();) {
+    const auto last =
+        std::find_if(first, rows.end(), [&first](const CsvRow& row) {
+          return row.case_index != first->case_index;
+        });
+    Trace trace;
+    trace.reserve(static_cast<std::size_t>(last - first));
+    for (; first != last; ++first) {
+      trace.push_back(log.InternEvent(first->event));
     }
-    log.AddTraceByNames(names);
+    log.AddTrace(std::move(trace));
   }
   span.AddArg("traces", static_cast<double>(log.num_traces()));
   span.AddArg("events", static_cast<double>(log.num_events()));
@@ -225,14 +246,16 @@ Result<EventLog> ReadCsvLog(std::istream& input, const CsvReadOptions& options,
   return log;
 }
 
+Result<EventLog> ReadCsvLog(std::istream& input, const CsvReadOptions& options,
+                            CsvReadStats* stats) {
+  return ParseCsvLog(ReadAll(input), options, stats);
+}
+
 Result<EventLog> ReadCsvLogFile(const std::string& path,
                                 const CsvReadOptions& options,
                                 CsvReadStats* stats) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::NotFound("cannot open CSV log file: " + path);
-  }
-  return ReadCsvLog(file, options, stats);
+  HEMATCH_ASSIGN_OR_RETURN(const std::string text, ReadFile(path));
+  return ParseCsvLog(text, options, stats);
 }
 
 Status WriteCsvLog(const EventLog& log, std::ostream& output) {

@@ -3,6 +3,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "log/event_log.h"
@@ -23,9 +24,13 @@ namespace hematch {
 ///    by file order otherwise. This mirrors how logs come out of ERP/OA
 ///    systems, the paper's data source.
 ///
-/// Timestamps are parsed as ordered opaque strings (ISO-8601 sorts
-/// correctly as text) or integers; mixing the two within one case is
-/// rejected.
+/// Within a case, empty timestamps come first; if the others are all
+/// integers they sort numerically (leading zeros ignored), else as text
+/// (correct for ISO-8601).
+
+/// Parses a trace-per-line log held in `text`. The stream and file
+/// readers read their whole input into one buffer and parse it so.
+Result<EventLog> ParseTraceLog(std::string_view text);
 
 /// Parses a trace-per-line log from `input`.
 Result<EventLog> ReadTraceLog(std::istream& input);
@@ -60,6 +65,11 @@ struct CsvReadStats {
   /// or skipped instead of failing the parse. Always 0 in strict mode.
   std::size_t salvaged_rows = 0;
 };
+
+/// Parses an event-per-row CSV log held in `text`.
+Result<EventLog> ParseCsvLog(std::string_view text,
+                             const CsvReadOptions& options = {},
+                             CsvReadStats* stats = nullptr);
 
 /// Parses an event-per-row CSV log from `input`.
 Result<EventLog> ReadCsvLog(std::istream& input,

@@ -5,23 +5,10 @@
 namespace hematch {
 
 EventLog ProjectFirstEvents(const EventLog& log, std::size_t num_events) {
-  EventLog out;
-  const std::size_t kept = std::min(num_events, log.num_events());
-  for (EventId id = 0; id < kept; ++id) {
-    out.InternEvent(log.dictionary().Name(id));
-  }
-  for (const Trace& trace : log.traces()) {
-    Trace projected;
-    for (EventId id : trace) {
-      if (id < kept) {
-        projected.push_back(id);  // Ids are stable: we kept a prefix.
-      }
-    }
-    if (!projected.empty()) {
-      out.AddTrace(std::move(projected));
-    }
-  }
-  return out;
+  // A prefix of the ids, re-interned in order, keeps every id as it was.
+  std::vector<bool> keep(log.num_events(), false);
+  std::fill_n(keep.begin(), std::min(num_events, log.num_events()), true);
+  return ProjectEventSubset(log, keep);
 }
 
 EventLog ProjectEventSubset(const EventLog& log, const std::vector<bool>& keep,

@@ -1,13 +1,11 @@
 #include "log/xes_io.h"
 
 #include <algorithm>
-#include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 #include <vector>
 
+#include "common/file.h"
 #include "log/xml_parser.h"
 #include "obs/trace.h"
 
@@ -15,46 +13,11 @@ namespace hematch {
 
 namespace {
 
+// Views into the document or the parser, which outlive the reader.
 struct XesEvent {
-  std::string name;       // concept:name
-  std::string timestamp;  // time:timestamp (optional)
+  std::string_view name;       // concept:name
+  std::string_view timestamp;  // time:timestamp (optional)
 };
-
-std::string EscapeXml(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      case '\'':
-        out += "&apos;";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-bool HasAttribute(const XmlParser::Token& token, std::string_view key) {
-  for (const auto& [k, v] : token.attributes) {
-    if (k == key) {
-      return true;
-    }
-  }
-  return false;
-}
 
 /// The reader proper: an explicit element stack plus the XES-level
 /// state (current trace / current event), so truncation and mismatched
@@ -65,31 +28,30 @@ class XesReader {
 
   Result<EventLog> Read(std::string_view document) {
     XmlParser parser(document);
+    XmlParser::Token token;
     for (;;) {
-      Result<XmlParser::Token> token = parser.Next();
-      if (!token.ok()) {
+      if (Status next = parser.Next(&token); !next.ok()) {
         // Malformed XML mid-document (truncated tag, bad entity, ...).
         if (options_.strict) {
-          return token.status();
+          return next;
         }
         break;  // Lenient: salvage what was completed.
       }
-      if (token->kind == XmlParser::TokenKind::kEnd) {
+      if (token.kind == XmlParser::TokenKind::kEnd) {
         if (!stack_.empty() && options_.strict) {
           return Status::ParseError("truncated XES document: <" +
-                                    stack_.back() + "> never closed");
+                                    std::string(stack_.back()) +
+                                    "> never closed");
         }
         break;
       }
-      if (token->kind == XmlParser::TokenKind::kText) {
+      if (token.kind == XmlParser::TokenKind::kText) {
         continue;  // XES carries data in attributes, not text nodes.
       }
-      Status handled = token->kind == XmlParser::TokenKind::kStartElement
-                           ? HandleStart(*token, parser.offset())
-                           : HandleEnd(*token);
-      if (!handled.ok()) {
-        return handled;
-      }
+      HEMATCH_RETURN_IF_ERROR(
+          token.kind == XmlParser::TokenKind::kStartElement
+              ? HandleStart(token, parser.offset())
+              : HandleEnd(token));
       if (stopped_) {
         break;  // Lenient depth overflow: keep the traces so far.
       }
@@ -146,18 +108,15 @@ class XesReader {
       // A direct child of the <event>: a candidate attribute. Container
       // attributes nested deeper (lists etc.) are ignored.
       const std::string_view key = token.Attribute("key");
-      if (token.name == "string" && key == "concept:name") {
-        if (options_.strict && !HasAttribute(token, "value")) {
-          return Status::ParseError(
-              "concept:name attribute without a value");
+      const bool name = token.name == "string" && key == "concept:name";
+      if (name || (token.name == "date" && key == "time:timestamp")) {
+        const std::string_view* value = token.Find("value");
+        if (options_.strict && value == nullptr) {
+          return Status::ParseError(std::string(key) +
+                                    " attribute without a value");
         }
-        current_event_.name = std::string(token.Attribute("value"));
-      } else if (token.name == "date" && key == "time:timestamp") {
-        if (options_.strict && !HasAttribute(token, "value")) {
-          return Status::ParseError(
-              "time:timestamp attribute without a value");
-        }
-        current_event_.timestamp = std::string(token.Attribute("value"));
+        (name ? current_event_.name : current_event_.timestamp) =
+            value == nullptr ? std::string_view() : *value;
       }
     }
     stack_.push_back(token.name);
@@ -169,10 +128,10 @@ class XesReader {
       return CloseTop();
     }
     if (options_.strict) {
-      return Status::ParseError("mismatched end tag </" + token.name +
-                                "> (open element is <" +
-                                (stack_.empty() ? "none" : stack_.back()) +
-                                ">)");
+      return Status::ParseError(
+          "mismatched end tag </" + std::string(token.name) +
+          "> (open element is <" +
+          std::string(stack_.empty() ? "none" : stack_.back()) + ">)");
     }
     // Lenient: close up to the matching open element if one exists;
     // a stray end tag with no matching open is ignored.
@@ -184,10 +143,7 @@ class XesReader {
     const std::size_t target = stack_.size() - 1 -
                                (match - stack_.rbegin());
     while (stack_.size() > target) {
-      Status closed = CloseTop();
-      if (!closed.ok()) {
-        return closed;
-      }
+      HEMATCH_RETURN_IF_ERROR(CloseTop());
     }
     return Status::OK();
   }
@@ -227,18 +183,18 @@ class XesReader {
                          return a.timestamp < b.timestamp;
                        });
     }
-    std::vector<std::string> names;
-    names.reserve(trace_events_.size());
+    Trace trace;
+    trace.reserve(trace_events_.size());
     for (const XesEvent& e : trace_events_) {
-      names.push_back(e.name);
+      trace.push_back(log_.InternEvent(e.name));
     }
-    log_.AddTraceByNames(names);
+    log_.AddTrace(std::move(trace));
     trace_events_.clear();
   }
 
   const XesReadOptions options_;
   EventLog log_;
-  std::vector<std::string> stack_;
+  std::vector<std::string_view> stack_;
   bool saw_log_ = false;
   bool stopped_ = false;
   std::size_t trace_depth_ = kNone;
@@ -249,16 +205,10 @@ class XesReader {
 
 }  // namespace
 
-Result<EventLog> ReadXesLog(std::istream& input,
-                            const XesReadOptions& options) {
+Result<EventLog> ParseXesLog(std::string_view document,
+                             const XesReadOptions& options) {
   // Ambient recorder: ingestion signatures predate tracing (obs/trace.h).
   obs::ScopedSpan span(obs::AmbientTraceRecorder(), "log.read_xes", "log");
-  std::ostringstream buffer;
-  buffer << input.rdbuf();
-  if (input.bad()) {
-    return Status::ParseError("I/O failure while reading XES log");
-  }
-  const std::string document = buffer.str();
   span.AddArg("bytes", static_cast<double>(document.size()));
   Result<EventLog> log = XesReader(options).Read(document);
   if (log.ok()) {
@@ -268,13 +218,15 @@ Result<EventLog> ReadXesLog(std::istream& input,
   return log;
 }
 
+Result<EventLog> ReadXesLog(std::istream& input,
+                            const XesReadOptions& options) {
+  return ParseXesLog(ReadAll(input), options);
+}
+
 Result<EventLog> ReadXesLogFile(const std::string& path,
                                 const XesReadOptions& options) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::NotFound("cannot open XES file: " + path);
-  }
-  return ReadXesLog(file, options);
+  HEMATCH_ASSIGN_OR_RETURN(const std::string document, ReadFile(path));
+  return ParseXesLog(document, options);
 }
 
 Status WriteXesLog(const EventLog& log, std::ostream& output) {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "log/event_log.h"
@@ -45,6 +46,10 @@ struct XesReadOptions {
   /// lenient mode.
   std::size_t max_depth = 64;
 };
+
+/// Parses the XES document `document`.
+Result<EventLog> ParseXesLog(std::string_view document,
+                             const XesReadOptions& options = {});
 
 /// Parses an XES document from `input`.
 Result<EventLog> ReadXesLog(std::istream& input,

@@ -1,6 +1,7 @@
 #ifndef HEMATCH_LOG_XML_PARSER_H_
 #define HEMATCH_LOG_XML_PARSER_H_
 
+#include <forward_list>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -29,23 +30,30 @@ class XmlParser {
     kEnd,
   };
 
+  /// A token's strings are views into the document, or into the parser
+  /// when entities had to be decoded: they stay valid while both live.
   struct Token {
     TokenKind kind = TokenKind::kEnd;
     /// Element name (start/end) or decoded text content.
-    std::string name;
+    std::string_view name;
     /// Attributes of a start element, in document order.
-    std::vector<std::pair<std::string, std::string>> attributes;
+    std::vector<std::pair<std::string_view, std::string_view>> attributes;
 
+    /// First value of attribute `key`, or nullptr.
+    const std::string_view* Find(std::string_view key) const;
     /// First value of attribute `key`, or an empty string.
-    std::string_view Attribute(std::string_view key) const;
+    std::string_view Attribute(std::string_view key) const {
+      return Find(key) == nullptr ? std::string_view() : *Find(key);
+    }
   };
 
   /// Parses from an in-memory document; `document` must outlive the
   /// parser.
-  explicit XmlParser(std::string_view document);
+  explicit XmlParser(std::string_view document) : doc_(document) {}
 
-  /// Returns the next token, or a ParseError with the byte offset.
-  Result<Token> Next();
+  /// Reads the next token into `token`, reusing its storage; a
+  /// ParseError carries the byte offset.
+  Status Next(Token* token);
 
   /// Byte offset of the parse cursor (for error reporting / tests).
   std::size_t offset() const { return pos_; }
@@ -54,14 +62,21 @@ class XmlParser {
   Status Error(const std::string& message) const;
   void SkipWhitespace();
   bool SkipMisc();  // Comments, processing instructions, declarations.
-  Result<std::string> ReadName();
-  Result<std::string> DecodeEntities(std::string_view raw) const;
+  Result<std::string_view> ReadName();
+  /// `raw` itself when it holds no `&`, else its decoding in `decoded_`.
+  Result<std::string_view> DecodeEntities(std::string_view raw);
 
   std::string_view doc_;
   std::size_t pos_ = 0;
   /// Pending synthesized end-element (from `<x/>`).
-  std::string pending_end_;
+  std::string_view pending_end_;
+  /// Decoded values; a list, so that adding one moves none of the others.
+  std::forward_list<std::string> decoded_;
 };
+
+/// `raw` with the five predefined entities escaped, for attribute values
+/// and text.
+std::string EscapeXml(std::string_view raw);
 
 }  // namespace hematch
 

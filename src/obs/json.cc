@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <system_error>
 
+#include "common/strings.h"
+
 namespace hematch::obs {
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
@@ -146,26 +148,6 @@ class JsonParser {
     }
     pos_ += 4;
     return Status::OK();
-  }
-
-  // UTF-8 encoding of a code point below 0x110000 that is not a
-  // surrogate.
-  static void AppendUtf8(unsigned code, std::string* out) {
-    if (code < 0x80) {
-      out->push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out->push_back(static_cast<char>(0xc0 | (code >> 6)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
-    } else if (code < 0x10000) {
-      out->push_back(static_cast<char>(0xe0 | (code >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
-    } else {
-      out->push_back(static_cast<char>(0xf0 | (code >> 18)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3f)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
-    }
   }
 
   std::size_t SkipDigits() {

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -466,10 +465,9 @@ void MatchServer::HandleRegisterLog(const std::shared_ptr<Session>& session,
     LogAccess(std::move(access));
     return;
   }
-  std::istringstream input(req.register_log.content);
   Result<EventLog> log = req.register_log.format == "csv"
-                             ? ReadCsvLog(input)
-                             : ReadTraceLog(input);
+                             ? ParseCsvLog(req.register_log.content)
+                             : ParseTraceLog(req.register_log.content);
   if (!log.ok()) {
     log_failure(log.status(), SendError(session, req.id,
                                         RequestOp::kRegisterLog, log.status(),

@@ -184,6 +184,32 @@ TEST(CsvLogTest, BomAndCrlfAreToleratedInBothModes) {
   }
 }
 
+// Orders one case's rows and returns its events in trace order.
+std::string OrderedCase(const std::string& rows) {
+  std::istringstream in("case,event,timestamp\n" + rows);
+  Result<EventLog> log = ReadCsvLog(in);
+  EXPECT_TRUE(log.ok()) << log.status();
+  return log.ok() ? log->TraceToString(log->traces()[0]) : "";
+}
+
+TEST(CsvLogTest, MixedTimestampsSortAsTextWhateverTheRowOrder) {
+  // Comparing integers by value and the rest as text is not an order
+  // here (9 < 10, 10 < 1a, 1a < 9); a case with any non-integer
+  // timestamp sorts all of them as text instead.
+  EXPECT_EQ(OrderedCase("x,A,9\nx,B,10\nx,C,1a\n"), "B C A");
+  EXPECT_EQ(OrderedCase("x,C,1a\nx,A,9\nx,B,10\n"), "B C A");
+}
+
+TEST(CsvLogTest, IntegerTimestampsIgnoreLeadingZeros) {
+  EXPECT_EQ(OrderedCase("x,A,10\nx,B,007\n"), "B A");
+  EXPECT_EQ(OrderedCase("x,A,0010\nx,B,9\nx,C,0\nx,D,000\n"), "C D B A");
+}
+
+TEST(CsvLogTest, EmptyTimestampsSortFirst) {
+  EXPECT_EQ(OrderedCase("x,A,2\nx,B,\nx,C,1\n"), "B C A");
+  EXPECT_EQ(OrderedCase("x,A,b\nx,B,\nx,C,a\n"), "B C A");
+}
+
 TEST(CsvLogTest, RejectsEmptyInput) {
   std::istringstream in("");
   ASSERT_FALSE(ReadCsvLog(in).ok());
@@ -309,6 +335,40 @@ TEST(CorruptXesTest, DepthCeilingIsConfigurable) {
   ASSERT_TRUE(log.ok()) << log.status();
   ASSERT_EQ(log->num_traces(), 1u);
   EXPECT_EQ(log->TraceToString(log->traces()[0]), "deep");
+}
+
+TEST(XesCharacterReferenceTest, NonAsciiNamesKeepEveryTrace) {
+  // A reference above 127 once failed the parse, and a lenient read then
+  // silently dropped every later trace.
+  std::istringstream in(
+      "<log><trace><event><string key=\"concept:name\" value=\"caf&#233;\"/>"
+      "</event></trace><trace><event><string key=\"concept:name\" "
+      "value=\"&#x1F69A; bus\"/></event></trace></log>");
+  Result<EventLog> log = ReadXesLog(in);
+  ASSERT_TRUE(log.ok()) << log.status();
+  ASSERT_EQ(log->num_traces(), 2u);
+  EXPECT_EQ(log->TraceToString(log->traces()[0]), "caf\xC3\xA9");
+  EXPECT_EQ(log->TraceToString(log->traces()[1]), "\xF0\x9F\x9A\x9A bus");
+}
+
+TEST(XesCharacterReferenceTest, MalformedReferencesAreDefects) {
+  // Only the first trace is complete before the defect.
+  for (const char* ref : {"&#65zz;", "&# 65;", "&#xD800;", "&#0;"}) {
+    const std::string doc =
+        "<log><trace><event><string key=\"concept:name\" value=\"ok\"/>"
+        "</event></trace><trace><event><string key=\"concept:name\" "
+        "value=\"" + std::string(ref) + "\"/></event></trace></log>";
+    std::istringstream lenient_in(doc);
+    Result<EventLog> lenient = ReadXesLog(lenient_in);
+    ASSERT_TRUE(lenient.ok()) << ref << ": " << lenient.status();
+    EXPECT_EQ(lenient->num_traces(), 1u) << ref;
+    XesReadOptions strict;
+    strict.strict = true;
+    std::istringstream strict_in(doc);
+    EXPECT_EQ(ReadXesLog(strict_in, strict).status().code(),
+              StatusCode::kParseError)
+        << ref;
+  }
 }
 
 // ------------------- malformed-CSV corpus (data/corrupt) -------------

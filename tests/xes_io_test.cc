@@ -12,18 +12,27 @@ namespace {
 
 // ------------------------- XmlParser ---------------------------------
 
-std::vector<XmlParser::Token> Drain(std::string_view doc) {
-  XmlParser parser(doc);
+// Tokens view the parser's decoded values, so the parser travels with
+// them.
+struct Drained {
+  XmlParser parser;
   std::vector<XmlParser::Token> tokens;
+  const XmlParser::Token& operator[](std::size_t i) const { return tokens[i]; }
+  std::size_t size() const { return tokens.size(); }
+};
+
+Drained Drain(std::string_view doc) {
+  Drained drained{XmlParser(doc), {}};
+  XmlParser::Token token;
   for (;;) {
-    Result<XmlParser::Token> token = parser.Next();
-    EXPECT_TRUE(token.ok()) << token.status();
-    if (!token.ok() || token->kind == XmlParser::TokenKind::kEnd) {
+    const Status next = drained.parser.Next(&token);
+    EXPECT_TRUE(next.ok()) << next;
+    if (!next.ok() || token.kind == XmlParser::TokenKind::kEnd) {
       break;
     }
-    tokens.push_back(std::move(token).value());
+    drained.tokens.push_back(token);
   }
-  return tokens;
+  return drained;
 }
 
 TEST(XmlParserTest, ElementsAndAttributes) {
@@ -73,17 +82,40 @@ TEST(XmlParserTest, Errors) {
        {"<a", "<a b></a>", "<a b=></a>", "<a b=\"x></a>", "</>",
         "<a>&bogus;</a>", "<a v=\"&#x110000;\"/>"}) {
     XmlParser parser(bad);
+    XmlParser::Token token;
     bool failed = false;
     for (int i = 0; i < 10 && !failed; ++i) {
-      Result<XmlParser::Token> token = parser.Next();
-      if (!token.ok()) {
+      const Status next = parser.Next(&token);
+      if (!next.ok()) {
         failed = true;
-        EXPECT_EQ(token.status().code(), StatusCode::kParseError);
-      } else if (token->kind == XmlParser::TokenKind::kEnd) {
+        EXPECT_EQ(next.code(), StatusCode::kParseError);
+      } else if (token.kind == XmlParser::TokenKind::kEnd) {
         break;
       }
     }
     EXPECT_TRUE(failed) << bad;
+  }
+}
+
+TEST(XmlParserTest, NumericReferencesDecodeToUtf8) {
+  const auto tokens = Drain(
+      R"(<a v="caf&#233;" w="&#x20AC;&#x1F600;&#65;&#x41;">&#x4e2d;</a>)");
+  EXPECT_EQ(tokens[0].Attribute("v"), "caf\xC3\xA9");
+  EXPECT_EQ(tokens[0].Attribute("w"), "\xE2\x82\xAC\xF0\x9F\x98\x80" "AA");
+  EXPECT_EQ(tokens[1].name, "\xE4\xB8\xAD");
+}
+
+TEST(XmlParserTest, NumericReferencesMustBeWholeScalarValues) {
+  for (const char* bad :
+       {"&#65zz;", "&# 65;", "&#;", "&#x;", "&#-65;", "&#+65;", "&#0;",
+        "&#x0;", "&#xD800;", "&#57343;", "&#x110000;", "&#99999999999;",
+        "&#X41;", "&#x 41;"}) {
+    const std::string doc = "<a v=\"" + std::string(bad) + "\"/>";
+    XmlParser parser(doc);
+    XmlParser::Token token;
+    const Status next = parser.Next(&token);
+    ASSERT_FALSE(next.ok()) << bad;
+    EXPECT_EQ(next.code(), StatusCode::kParseError) << bad;
   }
 }
 

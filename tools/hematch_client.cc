@@ -39,14 +39,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/file.h"
 #include "common/strings.h"
 #include "obs/json.h"
 #include "serve/client.h"
@@ -207,18 +206,16 @@ int main(int argc, char** argv) {
     }
     const std::string& name = positional[1];
     const std::string& path = positional[2];
-    std::ifstream in(path);
-    if (!in) {
-      std::cerr << "cannot open " << path << "\n";
+    const Result<std::string> content = ReadFile(path);
+    if (!content.ok()) {
+      std::cerr << content.status().message() << "\n";
       return 1;
     }
-    std::ostringstream content;
-    content << in.rdbuf();
     const bool csv = path.size() >= 4 &&
                      path.compare(path.size() - 4, 4, ".csv") == 0;
     serve::ServeClient client(copts);
     return PrintResponse(
-        client.RegisterLogText(name, csv ? "csv" : "tr", content.str()));
+        client.RegisterLogText(name, csv ? "csv" : "tr", *content));
   }
 
   if (command == "match" || command == "load") {

@@ -17,12 +17,11 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/file.h"
 #include "common/strings.h"
 #include "obs/trace_analysis.h"
 
@@ -103,18 +102,12 @@ int main(int argc, char** argv) {
     PrintUsageAndExit(2);
   }
 
-  std::ifstream file(path);
-  if (!file) {
-    std::cerr << "cannot open " << path << "\n";
+  const Result<std::string> read = ReadFile(path);
+  if (!read.ok()) {
+    std::cerr << read.status().message() << "\n";
     return 1;
   }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  if (file.bad()) {
-    std::cerr << "I/O failure while reading " << path << "\n";
-    return 1;
-  }
-  const std::string content = buffer.str();
+  const std::string& content = *read;
   if (IsBlank(content)) {
     std::cerr << path << " is empty — no trace was written (the writer "
                  "may have died before flushing, or sampling kept "
