@@ -15,7 +15,11 @@ Headlines:
   noise.clean_pair_f  pair-F on the clean (rate=0) workload (higher better)
 
 The failing run is still appended to the history — a trajectory that
-omits its bad days is not a trajectory.
+omits its bad days is not a trajectory. A point is stamped with the
+commit it measured, so the script refuses to append (exit 2, after
+gating) while tracked files other than the history itself have
+uncommitted changes: HEAD would not be the measured code. ``--dry-run``
+gates without appending.
 
 Usage:
   bench_history.py --bench-dir DIR [--history FILE] [--baseline-dir DIR]
@@ -75,6 +79,27 @@ def git_revision():
         return out.stdout.strip() or None
     except OSError:
         return None
+
+
+def uncommitted_changes(history):
+    """Tracked files, other than `history`, that differ from HEAD.
+
+    Empty when git is unavailable: then nothing can be stamped anyway
+    (the record's "git" field is null).
+    """
+    try:
+        out = subprocess.run(
+            ["git", "-C", REPO_ROOT, "status", "--porcelain",
+             "--untracked-files=no"],
+            capture_output=True, text=True, timeout=10,
+        )
+    except OSError:
+        return []
+    if out.returncode != 0:
+        return []
+    history = os.path.relpath(os.path.abspath(history), REPO_ROOT)
+    changed = [line[3:] for line in out.stdout.splitlines() if line.strip()]
+    return [path for path in changed if path != history]
 
 
 def check_regressions(metrics, baseline, tolerance):
@@ -144,17 +169,26 @@ def main():
     print(f"bench history gate (tolerance {args.tolerance:.0%}):")
     failures = check_regressions(metrics, baseline, args.tolerance)
 
+    refused = False
     if not args.dry_run:
-        os.makedirs(os.path.dirname(args.history), exist_ok=True)
-        with open(args.history, "a") as f:
-            f.write(json.dumps(record, sort_keys=True) + "\n")
-        print(f"appended to {os.path.relpath(args.history, REPO_ROOT)}")
+        changed = uncommitted_changes(args.history)
+        if changed:
+            refused = True
+            print(f"not appended to the history: {len(changed)} tracked "
+                  f"file(s) have uncommitted changes (first: {changed[0]}), "
+                  f"so {record['git']} is not the measured code; commit "
+                  "first, or pass --dry-run", file=sys.stderr)
+        else:
+            os.makedirs(os.path.dirname(args.history), exist_ok=True)
+            with open(args.history, "a") as f:
+                f.write(json.dumps(record, sort_keys=True) + "\n")
+            print(f"appended to {os.path.relpath(args.history, REPO_ROOT)}")
 
     if failures:
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         return 1
-    return 0
+    return 2 if refused else 0
 
 
 if __name__ == "__main__":

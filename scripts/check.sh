@@ -24,7 +24,13 @@ if [[ "$SKIP_BUILD" -eq 0 ]]; then
 fi
 
 echo "== tests"
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" -LE fuzz_replay
+
+# Fuzz replay: each libFuzzer harness, linked with fuzz/replay_main.cc,
+# runs every corpus file (fuzz/corpus/*, data/corrupt) plus fixed-seed
+# mutations of it, so the harnesses run here without clang's libFuzzer.
+echo "== fuzz replay"
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L fuzz_replay
 
 echo "== telemetry smoke"
 tmp="$(mktemp -d)"
@@ -264,13 +270,14 @@ print(f"ok: {doc['served']}/{doc['workload']['requests']} served, "
 EOF
 fi
 
-# Bench trajectory: append this run's headline numbers to
-# bench/history.jsonl and fail on a >30% regression against the
-# committed baselines (override via HEMATCH_BENCH_TOLERANCE for noisy
-# machines). Only gates the benches that actually ran above.
+# Bench gate: fail on a >30% regression of this run's headline numbers
+# against the committed baselines (override via HEMATCH_BENCH_TOLERANCE
+# for noisy machines). Only gates the benches that actually ran above.
+# --dry-run: a check run measures whatever is in the working tree, so it
+# must not add a point to the tracked bench/history.jsonl.
 if compgen -G "$tmp/BENCH_*.json" > /dev/null; then
-  echo "== bench history"
-  python3 scripts/bench_history.py --bench-dir "$tmp" --label check
+  echo "== bench gate"
+  python3 scripts/bench_history.py --bench-dir "$tmp" --label check --dry-run
 fi
 
 # Serve fault drill: a real hematch_serve process with injected crashes
