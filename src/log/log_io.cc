@@ -27,8 +27,8 @@ std::string_view PopLine(std::string_view& rest) {
   return line;
 }
 
-// Calls `visit(index, field)` for each ','-separated field of `line`
-// (empty ones included) and returns how many there were.
+// Calls `visit(index, field)` for each ','-separated field of `line`,
+// stripped (empty ones included), and returns how many there were.
 template <typename Visit>
 std::size_t ForEachField(std::string_view line, Visit visit) {
   for (std::size_t index = 0;; ++index) {
