@@ -5,12 +5,11 @@
 // trips a sanitizer fails the run; the same arguments replay the same
 // inputs.
 //
-//   <harness>_replay [--mutants=N] PATH...
+//   <harness>_replay PATH...
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -23,6 +22,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size);
 
 namespace {
+
+constexpr std::size_t kMutants = 1000;  // Per corpus file.
 
 // splitmix64: the same stream on every platform.
 class Rng {
@@ -98,13 +99,10 @@ void Run(const std::string& bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t mutants = 1000;
   std::vector<std::filesystem::path> files;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg.rfind("--mutants=", 0) == 0) {
-      mutants = std::strtoul(argv[i] + 10, nullptr, 10);
-    } else if (std::filesystem::is_directory(arg)) {
+    if (std::filesystem::is_directory(arg)) {
       for (const auto& entry :
            std::filesystem::recursive_directory_iterator(arg)) {
         if (entry.is_regular_file()) files.push_back(entry.path());
@@ -117,7 +115,7 @@ int main(int argc, char** argv) {
     }
   }
   if (files.empty()) {
-    std::cerr << "usage: " << argv[0] << " [--mutants=N] PATH...\n";
+    std::cerr << "usage: " << argv[0] << " PATH...\n";
     return 2;
   }
   std::sort(files.begin(), files.end());
@@ -129,11 +127,11 @@ int main(int argc, char** argv) {
                             std::istreambuf_iterator<char>());
     Run(bytes);
     Rng rng(Seed(file.filename().string()));
-    for (std::size_t m = 0; m < mutants; ++m) {
+    for (std::size_t m = 0; m < kMutants; ++m) {
       Run(Mutate(bytes, rng));
     }
   }
   std::cout << "replayed " << files.size() << " files and "
-            << files.size() * mutants << " mutants\n";
+            << files.size() * kMutants << " mutants\n";
   return 0;
 }
