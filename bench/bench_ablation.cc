@@ -219,14 +219,14 @@ void BoundStressAblation() {
   TextTable table({"# events", "bound", "F", "time(ms)", "# mappings"});
   for (std::size_t n : {8, 9, 10}) {
     const MatchingTask task = MakeSubsetStressTask(n, 2000, 7);
-    for (const auto bound : {BoundKind::kSimple, BoundKind::kTight}) {
+    for (const auto bound :
+         {BoundKind::kSimple, BoundKind::kTight, BoundKind::kBitmapTight}) {
       AStarOptions options;
       options.scorer.bound = bound;
       options.max_expansions = 20'000'000;
-      const RunRecord record =
-          RunMatcherOnTask(AStarMatcher(options), task);
-      table.AddRow({std::to_string(n),
-                    bound == BoundKind::kTight ? "tight" : "simple",
+      const AStarMatcher matcher(options);
+      const RunRecord record = RunMatcherOnTask(matcher, task);
+      table.AddRow({std::to_string(n), matcher.name(),
                     record.completed ? TextTable::Num(record.f_measure)
                                      : "-",
                     record.completed

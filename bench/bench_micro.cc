@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the library's hot primitives:
 // dependency-graph construction, pattern frequency evaluation, the
-// window-membership test, the tight bound, Kuhn-Munkres, and subgraph
+// window-membership test, the per-child h bound, Kuhn-Munkres, and subgraph
 // isomorphism. These are the per-operation costs behind the figure
 // harnesses' end-to-end times.
 
@@ -14,6 +14,7 @@
 #include "core/astar_matcher.h"
 #include "core/bounding.h"
 #include "core/pattern_set.h"
+#include "core/search_common.h"
 #include "exec/portfolio.h"
 #include "freq/bitmap_index.h"
 #include "freq/frequency_evaluator.h"
@@ -191,19 +192,79 @@ void BM_PatternGraphTranslation(benchmark::State& state) {
 }
 BENCHMARK(BM_PatternGraphTranslation);
 
-void BM_TightBound(benchmark::State& state) {
+// The per-child cost of the search bound over a fixed frontier of 16
+// random partial mappings of BusTask(), one at each depth of the search
+// plan and then cycling, and every child of each: the next source in plan
+// order mapped to each unused target. With `whole_child:0` only
+// ComputeHForRemaining is timed; with `whole_child:1` the whole child
+// step as A* pays it (copy the parent, add the pair, add g of the
+// patterns completing, compute h). Reports `us_per_child`.
+void BM_ChildBound(benchmark::State& state, BoundKind bound) {
   const MatchingTask& task = BusTask();
-  const DependencyGraph g2 = DependencyGraph::Build(task.log2);
-  const Pattern& p = task.complex_patterns[0];
-  std::vector<EventId> targets;
-  for (EventId v = 0; v < task.log2.num_events(); ++v) {
-    targets.push_back(v);
+  MatchingContext context(
+      task.log1, task.log2,
+      BuildPatternSet(DependencyGraph::Build(task.log1),
+                      task.complex_patterns));
+  const SearchPlan plan = BuildSearchPlan(context);
+  std::vector<std::pair<Mapping, std::size_t>> parents;
+  std::vector<std::pair<Mapping, std::size_t>> children;
+  Rng rng(7);
+  for (std::size_t i = 0; i < 16; ++i) {
+    const std::size_t depth = i % (plan.order.size() - 1);
+    std::vector<EventId> targets(context.num_targets());
+    for (EventId t = 0; t < targets.size(); ++t) targets[t] = t;
+    rng.Shuffle(targets);
+    Mapping m(context.num_sources(), context.num_targets());
+    for (std::size_t d = 0; d < depth; ++d) {
+      m.Set(plan.order[d], targets[d]);
+    }
+    for (EventId t = 0; t < context.num_targets(); ++t) {
+      if (!m.IsTargetUsed(t)) {
+        Mapping child = m;
+        child.Set(plan.order[depth], t);
+        children.emplace_back(std::move(child), depth + 1);
+      }
+    }
+    parents.emplace_back(std::move(m), depth);
   }
+  ScorerOptions options;
+  options.bound = bound;
+  MappingScorer scorer(context, options);
+  const bool whole_child = state.range(0) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PatternUpperBound(p, 0.9, targets, g2));
+    if (!whole_child) {
+      for (const auto& [child, depth] : children) {
+        benchmark::DoNotOptimize(
+            scorer.ComputeHForRemaining(child, plan.remaining_after[depth]));
+      }
+      continue;
+    }
+    for (const auto& [parent, depth] : parents) {
+      for (EventId t = 0; t < context.num_targets(); ++t) {
+        if (parent.IsTargetUsed(t)) continue;
+        Mapping child = parent;
+        child.Set(plan.order[depth], t);
+        double g = 0.0;
+        for (std::uint32_t pid : plan.completed_at[depth + 1]) {
+          g += scorer.CompletedOrDeadContribution(pid, child);
+        }
+        benchmark::DoNotOptimize(
+            g + scorer.ComputeHForRemaining(child,
+                                            plan.remaining_after[depth + 1]));
+      }
+    }
   }
+  state.counters["us_per_child"] = benchmark::Counter(
+      static_cast<double>(children.size()) * 1e-6,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_TightBound);
+BENCHMARK_CAPTURE(BM_ChildBound, simple, BoundKind::kSimple)
+    ->Arg(0)->Arg(1)->ArgName("whole_child");
+BENCHMARK_CAPTURE(BM_ChildBound, tight, BoundKind::kTight)
+    ->Arg(0)->Arg(1)->ArgName("whole_child");
+BENCHMARK_CAPTURE(BM_ChildBound, bitmap_tight, BoundKind::kBitmapTight)
+    ->Arg(0)->Arg(1)->ArgName("whole_child");
 
 // Full A* match with observability off (0), metrics on (1), and
 // metrics + span recorder (2): the triple bounds the metric subsystem's

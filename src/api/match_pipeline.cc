@@ -168,7 +168,7 @@ Result<MatchPipelineOutcome> MatchLogs(const EventLog& log1,
     pattern_span.AddArg("mined", options.mine_patterns ? 1.0 : 0.0);
   }
 
-  const DependencyGraph g1 = DependencyGraph::Build(source);
+  DependencyGraph g1 = DependencyGraph::Build(source);
 
   if (options.portfolio && IsExact(options.method)) {
     // Hedged mode: race the method's rungs on worker threads instead of
@@ -202,7 +202,8 @@ Result<MatchPipelineOutcome> MatchLogs(const EventLog& log1,
   telemetry.enabled = options.telemetry;
   telemetry.tracer = options.tracer;
   telemetry.trace_recorder = recorder;
-  MatchingContext context(source, target, BuildPatternSet(g1, complex),
+  std::vector<Pattern> patterns = BuildPatternSet(g1, complex);
+  MatchingContext context(source, target, std::move(g1), std::move(patterns),
                           telemetry);
   std::unique_ptr<Matcher> matcher = MakeMatcher(options);
   if (matcher == nullptr) {

@@ -272,11 +272,14 @@ Result<MatchResult> AStarMatcher::Match(MatchingContext& context) const {
 
     const EventId source = plan.order[depth];
     std::uint64_t children_pushed = 0;
-    for (EventId target = 0; target < n2; ++target) {
-      if (node.mapping.IsTargetUsed(target)) {
+    // Children map `source` to each unused target in id order, then (with
+    // partial mappings) to ⊥: candidate n2 stands for ⊥.
+    for (EventId target = 0; target <= n2; ++target) {
+      const bool to_null = target == n2;
+      if (to_null ? !partial : node.mapping.IsTargetUsed(target)) {
         continue;
       }
-      if (use_symmetry && symmetry.Skips(node.mapping, target)) {
+      if (!to_null && use_symmetry && symmetry.Skips(node.mapping, target)) {
         // A smaller-id interchangeable target is still unused; the
         // canonical subtree assigns that one instead.
         telem.prune_symmetry->Increment();
@@ -293,7 +296,16 @@ Result<MatchResult> AStarMatcher::Match(MatchingContext& context) const {
       ++result.mappings_processed;
 
       Node child{node.mapping, node.g, 0.0, sequence++, 0};
-      child.mapping.Set(source, target);
+      if (to_null) {
+        // Every pattern that completes at this depth contains `source`
+        // and dies (adds 0 below), so the incremental g is exactly
+        // -penalty; remaining dead patterns get Δ = 0 inside
+        // ComputeHForRemaining, keeping h admissible.
+        child.mapping.SetUnmapped(source);
+        child.g -= unmapped_penalty;
+      } else {
+        child.mapping.Set(source, target);
+      }
       for (std::uint32_t pid : plan.completed_at[depth + 1]) {
         child.g += scorer.CompletedOrDeadContribution(pid, child.mapping);
       }
@@ -311,42 +323,6 @@ Result<MatchResult> AStarMatcher::Match(MatchingContext& context) const {
       governor.ChargeMemory(node_bytes);
       queue.push(std::move(child));
       ++children_pushed;
-    }
-    if (partial) {
-      // The "unmap v1" branch: map `source` to ⊥. Every pattern that
-      // completes at this depth contains `source` and dies, so the
-      // incremental g is exactly -penalty; remaining dead patterns get
-      // Δ = 0 inside ComputeHForRemaining, keeping h admissible.
-      if (result.mappings_processed >= options_.max_expansions) {
-        return anytime_result(std::move(node), queue.size() + 1,
-                              exec::TerminationReason::kExpansionCap);
-      }
-      if (!governor.CheckExpansions(1)) {
-        return anytime_result(std::move(node), queue.size() + 1,
-                              governor.reason());
-      }
-      ++result.mappings_processed;
-
-      Node child{node.mapping, node.g - unmapped_penalty, 0.0, sequence++, 0};
-      child.mapping.SetUnmapped(source);
-      bool keep = true;
-      if (use_dominance) {
-        child.signature =
-            DominanceSignature(plan, depth + 1, child.mapping);
-        if (dominance.IsDominated(child.signature, child.g)) {
-          telem.prune_dominance->Increment();
-          keep = false;
-        } else {
-          governor.ChargeMemory(DominanceTable::kBytesPerEntry);
-        }
-      }
-      if (keep) {
-        child.h = scorer.ComputeHForRemaining(
-            child.mapping, plan.remaining_after[depth + 1]);
-        governor.ChargeMemory(node_bytes);
-        queue.push(std::move(child));
-        ++children_pushed;
-      }
     }
     telem.branching_factor->Observe(static_cast<double>(children_pushed));
     telem.RecordOpenPeak(queue.size());

@@ -12,6 +12,24 @@ FrequencyCeilings ComputeCeilings(const DependencyGraph& g2,
   return ceilings;
 }
 
+FrequencyCeilings UnusedTargetCeilings(const DependencyGraph& g2,
+                                       const Mapping& m) {
+  FrequencyCeilings ceilings;
+  for (EventId v : g2.vertices_by_frequency()) {
+    if (IsUnusedTarget(m, v)) {
+      ceilings.max_vertex = g2.VertexFrequency(v);
+      break;
+    }
+  }
+  for (const DependencyGraph::WeightedEdge& e : g2.edges_by_frequency()) {
+    if (IsUnusedTarget(m, e.from) && IsUnusedTarget(m, e.to)) {
+      ceilings.max_edge = e.frequency;
+      break;
+    }
+  }
+  return ceilings;
+}
+
 double TightUpperBound(const Pattern& pattern, double f1,
                        const FrequencyCeilings& ceilings, double f2_cap) {
   if (f1 <= 0.0) {

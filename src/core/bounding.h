@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "core/mapping.h"
 #include "graph/dependency_graph.h"
 #include "pattern/pattern.h"
 
@@ -45,10 +46,26 @@ struct FrequencyCeilings {
   double max_edge = 0.0;
 };
 
-/// Computes ceilings for the target set `targets` in `g2`
-/// (O(|targets| + induced edges)).
+/// Computes ceilings for the target set `targets` in `g2` from scratch
+/// (O(|targets| + induced edges)). The reference form of
+/// `UnusedTargetCeilings`.
 FrequencyCeilings ComputeCeilings(const DependencyGraph& g2,
                                   const std::vector<EventId>& targets);
+
+/// True when target `t` is in `U2`: inside `m`'s target range and unused.
+inline bool IsUnusedTarget(const Mapping& m, EventId t) {
+  return t < m.num_targets() && !m.IsTargetUsed(t);
+}
+
+/// The ceilings of `U2`, the targets `m` leaves unused, read off `g2`'s
+/// frequency-sorted orders: `max_vertex` is the frequency of the first
+/// unused vertex in `vertices_by_frequency()`, `max_edge` the frequency
+/// of the first edge in `edges_by_frequency()` with both endpoints
+/// unused. Each walk skips only used targets and their edges, so a node
+/// of the search pays O(|M| + edges touching M), not O(|U2| + E).
+/// Equal, bit for bit, to `ComputeCeilings(g2, m.UnusedTargets())`.
+FrequencyCeilings UnusedTargetCeilings(const DependencyGraph& g2,
+                                       const Mapping& m);
 
 /// The tight upper bound of Algorithm 2 given precomputed ceilings:
 ///

@@ -114,26 +114,35 @@ double MappingScorer::ComputeG(const Mapping& m) {
   return g - NullPenalty(m);
 }
 
-void MappingScorer::FillCoocCaps(const std::vector<EventId>& unused,
-                                 CoocCaps& caps) const {
-  caps.max_unused_pair = cooc_->MaxPairAmong(unused);
-  caps.best_with_unused.assign(context_->num_targets(), 0.0);
-  for (EventId t = 0; t < caps.best_with_unused.size(); ++t) {
+void MappingScorer::PrepareH(const Mapping& m) {
+  h_evals_->Increment();
+  // Each mapped pair consumes one target; ⊥ sources consume none.
+  num_unused_ = m.num_targets() - m.size();
+  if (!BoundUsesCeilings(options_.bound)) {
+    return;
+  }
+  u2_ceilings_ = UnusedTargetCeilings(context_->graph2(), m);
+  if (cooc_ == nullptr) {
+    return;
+  }
+  unused_.clear();
+  for (EventId t = 0; t < m.num_targets(); ++t) {
+    if (!m.IsTargetUsed(t)) {
+      unused_.push_back(t);
+    }
+  }
+  max_unused_pair_ = cooc_->MaxPairAmong(unused_);
+  best_with_unused_.assign(context_->num_targets(), 0.0);
+  for (EventId t = 0; t < best_with_unused_.size(); ++t) {
     double best = 0.0;
-    for (EventId u : unused) {
+    for (EventId u : unused_) {
       best = std::max(best, cooc_->At(t, u));
     }
-    caps.best_with_unused[t] = best;
+    best_with_unused_[t] = best;
   }
 }
 
-double MappingScorer::IncompleteBound(std::size_t pid, const Mapping& m,
-                                      const FrequencyCeilings& u2_ceilings,
-                                      std::size_t num_unused,
-                                      std::vector<char>& in_union,
-                                      const CoocCaps* caps) {
-  const Pattern& p = context_->patterns()[pid];
-  const double f1 = context_->PatternFrequency1(pid);
+double MappingScorer::IncompleteBound(std::size_t pid, const Mapping& m) {
   // A pattern with a ⊥ event contributes 0 to every completion; this is
   // both required for admissibility bookkeeping and strictly tighter
   // than either Δ estimate.
@@ -143,45 +152,41 @@ double MappingScorer::IncompleteBound(std::size_t pid, const Mapping& m,
   if (options_.bound == BoundKind::kSimple) {
     return 1.0;  // Section 3.3: each remaining pattern contributes <= 1.
   }
+  const Pattern& p = context_->patterns()[pid];
 
   // Collect the targets already fixed for this pattern's mapped events.
-  std::vector<EventId> fixed;
+  fixed_.clear();
   for (EventId v : p.events()) {
     const EventId t = m.TargetOf(v);
     if (t != kInvalidEventId) {
-      fixed.push_back(t);
+      fixed_.push_back(t);
     }
   }
   // Δ = 0 when the pattern no longer fits into M(V(p) \ U1) ∪ U2.
-  if (p.size() > num_unused + fixed.size()) {
+  if (p.size() > num_unused_ + fixed_.size()) {
     return 0.0;
   }
 
   // Extend the U2 ceilings with the fixed targets: vertices directly,
-  // edges by scanning each fixed target's incident dependency edges whose
-  // other endpoint lies in the union (U2 ∪ fixed). This yields exactly the
-  // induced-subgraph ceilings of Algorithm 2 for the set
+  // edges by walking each fixed target's incident edges, heaviest first,
+  // to the first whose other endpoint lies in the union (U2 ∪ fixed), or
+  // to the first no heavier than the ceiling so far. This yields exactly
+  // the induced-subgraph ceilings of Algorithm 2 for the set
   // M(V(p) \ U1) ∪ U2 in O(|p| * degree) instead of O(|U2| + E).
-  FrequencyCeilings ceilings = u2_ceilings;
+  FrequencyCeilings ceilings = u2_ceilings_;
   const DependencyGraph& g2 = context_->graph2();
-  for (EventId t : fixed) {
-    in_union[t] = 1;
-  }
-  for (EventId t : fixed) {
+  for (EventId t : fixed_) {
     ceilings.max_vertex = std::max(ceilings.max_vertex, g2.VertexFrequency(t));
-    for (EventId w : g2.OutNeighbors(t)) {
-      if (in_union[w] != 0) {
-        ceilings.max_edge = std::max(ceilings.max_edge, g2.EdgeFrequency(t, w));
+    for (const auto& [w, freq] : g2.IncidentByFrequency(t)) {
+      if (freq <= ceilings.max_edge) {
+        break;
+      }
+      if (IsUnusedTarget(m, w) ||
+          std::find(fixed_.begin(), fixed_.end(), w) != fixed_.end()) {
+        ceilings.max_edge = freq;
+        break;
       }
     }
-    for (EventId w : g2.InNeighbors(t)) {
-      if (in_union[w] != 0) {
-        ceilings.max_edge = std::max(ceilings.max_edge, g2.EdgeFrequency(w, t));
-      }
-    }
-  }
-  for (EventId t : fixed) {
-    in_union[t] = 0;  // Restore scratch state.
   }
 
   // kBitmapTight: cap the reachable f2 by pairwise trace co-occurrence.
@@ -191,115 +196,55 @@ double MappingScorer::IncompleteBound(std::size_t pid, const Mapping& m,
   // over the pair families below stays a true upper bound (Δ remains
   // admissible).
   double f2_cap = std::numeric_limits<double>::infinity();
-  if (caps != nullptr && p.size() >= 2) {
-    for (std::size_t i = 0; i < fixed.size(); ++i) {
-      for (std::size_t j = i + 1; j < fixed.size(); ++j) {
-        f2_cap = std::min(f2_cap, cooc_->At(fixed[i], fixed[j]));
+  if (cooc_ != nullptr && p.size() >= 2) {
+    for (std::size_t i = 0; i < fixed_.size(); ++i) {
+      for (std::size_t j = i + 1; j < fixed_.size(); ++j) {
+        f2_cap = std::min(f2_cap, cooc_->At(fixed_[i], fixed_[j]));
       }
     }
-    const std::size_t free_slots = p.size() - fixed.size();
-    if (free_slots >= 1 && !fixed.empty()) {
+    const std::size_t free_slots = p.size() - fixed_.size();
+    if (free_slots >= 1 && !fixed_.empty()) {
       // Each fixed target must co-occur with at least one unused target.
       double worst = std::numeric_limits<double>::infinity();
-      for (EventId t : fixed) {
-        worst = std::min(worst, caps->best_with_unused[t]);
+      for (EventId t : fixed_) {
+        worst = std::min(worst, best_with_unused_[t]);
       }
       f2_cap = std::min(f2_cap, worst);
     }
     if (free_slots >= 2) {
       // At least one pair lies entirely inside the unused targets.
-      f2_cap = std::min(f2_cap, caps->max_unused_pair);
+      f2_cap = std::min(f2_cap, max_unused_pair_);
     }
   }
-  return TightUpperBound(p, f1, ceilings, f2_cap);
+  return TightUpperBound(p, context_->PatternFrequency1(pid), ceilings,
+                         f2_cap);
 }
 
 double MappingScorer::ComputeH(const Mapping& m) {
-  h_evals_->Increment();
+  PrepareH(m);
   double h = 0.0;
-  const std::vector<EventId> unused = m.UnusedTargets();
-  FrequencyCeilings u2_ceilings;
-  std::vector<char> in_union;
-  CoocCaps caps;
-  const bool use_cooc = options_.bound == BoundKind::kBitmapTight;
-  if (BoundUsesCeilings(options_.bound)) {
-    u2_ceilings = ComputeCeilings(context_->graph2(), unused);
-    in_union.assign(context_->num_targets(), 0);
-    for (EventId t : unused) {
-      in_union[t] = 1;
-    }
-    if (use_cooc) {
-      FillCoocCaps(unused, caps);
-    }
-  }
   for (std::size_t pid = 0; pid < context_->num_patterns(); ++pid) {
-    const Pattern& p = context_->patterns()[pid];
-    if (MappedEventCount(pid, m) == p.size()) {
-      continue;  // Contributes to g, not h.
+    if (MappedEventCount(pid, m) != context_->patterns()[pid].size()) {
+      h += IncompleteBound(pid, m);  // Complete patterns count in g.
     }
-    h += IncompleteBound(pid, m, u2_ceilings, unused.size(), in_union,
-                          use_cooc ? &caps : nullptr);
   }
-  return h - ForcedNullPenalty(m, unused.size());
+  return h - ForcedNullPenalty(m, num_unused_);
 }
 
 double MappingScorer::ComputeHForRemaining(
     const Mapping& m, const std::vector<std::uint32_t>& remaining) {
-  h_evals_->Increment();
+  PrepareH(m);
   double h = 0.0;
-  const std::vector<EventId> unused = m.UnusedTargets();
-  FrequencyCeilings u2_ceilings;
-  std::vector<char> in_union;
-  CoocCaps caps;
-  const bool use_cooc = options_.bound == BoundKind::kBitmapTight;
-  if (BoundUsesCeilings(options_.bound)) {
-    u2_ceilings = ComputeCeilings(context_->graph2(), unused);
-    in_union.assign(context_->num_targets(), 0);
-    for (EventId t : unused) {
-      in_union[t] = 1;
-    }
-    if (use_cooc) {
-      FillCoocCaps(unused, caps);
-    }
-  }
   for (std::uint32_t pid : remaining) {
-    h += IncompleteBound(pid, m, u2_ceilings, unused.size(), in_union,
-                          use_cooc ? &caps : nullptr);
+    h += IncompleteBound(pid, m);
   }
-  return h - ForcedNullPenalty(m, unused.size());
+  return h - ForcedNullPenalty(m, num_unused_);
 }
 
 MappingScorer::Score MappingScorer::ComputeScore(const Mapping& m) {
-  g_evals_->Increment();
-  h_evals_->Increment();
-  Score score;
-  const std::vector<EventId> unused = m.UnusedTargets();
-  FrequencyCeilings u2_ceilings;
-  std::vector<char> in_union;
-  CoocCaps caps;
-  const bool use_cooc = options_.bound == BoundKind::kBitmapTight;
-  if (BoundUsesCeilings(options_.bound)) {
-    u2_ceilings = ComputeCeilings(context_->graph2(), unused);
-    in_union.assign(context_->num_targets(), 0);
-    for (EventId t : unused) {
-      in_union[t] = 1;
-    }
-    if (use_cooc) {
-      FillCoocCaps(unused, caps);
-    }
-  }
-  for (std::size_t pid = 0; pid < context_->num_patterns(); ++pid) {
-    const Pattern& p = context_->patterns()[pid];
-    if (MappedEventCount(pid, m) == p.size()) {
-      score.g += CompletedContribution(pid, m);
-    } else {
-      score.h += IncompleteBound(pid, m, u2_ceilings, unused.size(), in_union,
-                          use_cooc ? &caps : nullptr);
-    }
-  }
-  score.g -= NullPenalty(m);
-  score.h -= ForcedNullPenalty(m, unused.size());
-  return score;
+  // Both passes visit the patterns in id order, so each sum is the one a
+  // lone ComputeG or ComputeH would return.
+  return Score{ComputeG(m), ComputeH(m)};
 }
 
 }  // namespace hematch

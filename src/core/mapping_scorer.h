@@ -94,7 +94,7 @@ class MappingScorer {
   double ComputeHForRemaining(const Mapping& m,
                               const std::vector<std::uint32_t>& remaining);
 
-  /// `g + h` in one pass (shares the completeness scan).
+  /// `g + h`, each as `ComputeG` and `ComputeH` return it.
   struct Score {
     double g = 0.0;
     double h = 0.0;
@@ -111,29 +111,31 @@ class MappingScorer {
   std::uint64_t h_evaluations() const { return h_evals_->value(); }
 
  private:
-  // Per-h-evaluation co-occurrence ceilings (kBitmapTight only): the
-  // best pair among the unused targets, and for every target the best
-  // co-occurrence with any unused target. Computed once per node in
-  // O(num_targets * |U2|), consumed per pattern in O(|fixed|).
-  struct CoocCaps {
-    double max_unused_pair = 0.0;
-    std::vector<double> best_with_unused;
-  };
-  void FillCoocCaps(const std::vector<EventId>& unused, CoocCaps& caps) const;
+  // The setup every h evaluation shares: counts it, and derives |U2|,
+  // the ceilings of U2 and (kBitmapTight) the co-occurrence caps from
+  // `m` into the members below. The caps are the best pair among the
+  // unused targets and, for every target, its best co-occurrence with an
+  // unused one: O(num_targets * |U2|) per node, O(|fixed|) per pattern.
+  void PrepareH(const Mapping& m);
 
-  // Δ for one incomplete pattern given the precomputed ceilings of U2 and
-  // a scratch membership bitmap of (U2 ∪ mapped targets of the pattern).
-  // `caps` is null unless the bound is kBitmapTight.
-  double IncompleteBound(std::size_t pid, const Mapping& m,
-                         const FrequencyCeilings& u2_ceilings,
-                         std::size_t num_unused, std::vector<char>& in_union,
-                         const CoocCaps* caps);
+  // Δ for one incomplete pattern under the state `PrepareH(m)` left.
+  double IncompleteBound(std::size_t pid, const Mapping& m);
 
   MatchingContext* context_;
   ScorerOptions options_;
   // Pairwise co-occurrence ceilings, bound at construction when the
   // bound kind is kBitmapTight (pays the context's one-time build).
   const CooccurrenceIndex* cooc_ = nullptr;
+  // Per-evaluation state, rewritten by PrepareH; buffers keep their
+  // capacity, so an evaluation allocates nothing once warm. This makes
+  // a scorer single-threaded: each search thread builds its own.
+  std::size_t num_unused_ = 0;
+  FrequencyCeilings u2_ceilings_;
+  std::vector<EventId> fixed_;  // Targets of one pattern's mapped events.
+  // kBitmapTight only.
+  std::vector<EventId> unused_;
+  double max_unused_pair_ = 0.0;
+  std::vector<double> best_with_unused_;
   obs::Counter* g_evals_;
   obs::Counter* h_evals_;
   obs::Counter* completed_contributions_;

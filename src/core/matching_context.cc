@@ -17,13 +17,15 @@ std::vector<std::vector<EventId>> PatternEventSets(
 }  // namespace
 
 MatchingContext::MatchingContext(const EventLog& log1, const EventLog& log2,
+                                 DependencyGraph graph1,
                                  std::vector<Pattern> patterns,
                                  ContextTelemetryOptions telemetry,
                                  ContextPrecomputeOptions precompute)
     : log1_(&log1),
       log2_(&log2),
-      graph1_(DependencyGraph::Build(log1)),
-      graph2_(DependencyGraph::Build(log2)),
+      graph1_(std::make_shared<const DependencyGraph>(std::move(graph1))),
+      graph2_(std::make_shared<const DependencyGraph>(
+          DependencyGraph::Build(log2))),
       patterns_(std::move(patterns)),
       pattern_index_(log1.num_events(), PatternEventSets(patterns_)),
       eval1_(std::make_shared<FrequencyEvaluator>(log1)),
@@ -80,9 +82,9 @@ MatchingContext::MatchingContext(const EventLog& log1, const EventLog& log2,
   f1_.reserve(patterns_.size());
   for (const Pattern& p : patterns_) {
     if (p.IsVertexPattern()) {
-      f1_.push_back(graph1_.VertexFrequency(p.event()));
+      f1_.push_back(graph1_->VertexFrequency(p.event()));
     } else if (p.IsEdgePattern()) {
-      f1_.push_back(graph1_.EdgeFrequency(p.events()[0], p.events()[1]));
+      f1_.push_back(graph1_->EdgeFrequency(p.events()[0], p.events()[1]));
     } else {
       f1_.push_back(eval1_->Frequency(p));
     }
@@ -136,14 +138,14 @@ const CooccurrenceIndex& MatchingContext::cooccurrence2() {
 double MatchingContext::PatternFrequency2(const Pattern& translated,
                                           ExistenceCheckMode mode) {
   if (translated.IsVertexPattern()) {
-    return graph2_.VertexFrequency(translated.event());
+    return graph2_->VertexFrequency(translated.event());
   }
   if (translated.IsEdgePattern()) {
-    return graph2_.EdgeFrequency(translated.events()[0],
-                                 translated.events()[1]);
+    return graph2_->EdgeFrequency(translated.events()[0],
+                                  translated.events()[1]);
   }
   existence_checks_->Increment();
-  if (!PatternMayExist(translated, graph2_, mode)) {
+  if (!PatternMayExist(translated, *graph2_, mode)) {
     existence_pruned_->Increment();
     return 0.0;  // Proposition 3: no trace can match.
   }

@@ -79,11 +79,20 @@ class MatchingContext {
   MatchingContext(const EventLog& log1, const EventLog& log2,
                   std::vector<Pattern> patterns,
                   ContextTelemetryOptions telemetry = {},
+                  ContextPrecomputeOptions precompute = {})
+      : MatchingContext(log1, log2, DependencyGraph::Build(log1),
+                        std::move(patterns), telemetry, precompute) {}
+
+  /// As above, with `log1`'s dependency graph already built (callers that
+  /// ran `BuildPatternSet` over it move it in rather than build it twice).
+  MatchingContext(const EventLog& log1, const EventLog& log2,
+                  DependencyGraph graph1, std::vector<Pattern> patterns,
+                  ContextTelemetryOptions telemetry = {},
                   ContextPrecomputeOptions precompute = {});
 
   /// Sibling constructor for portfolio workers (see exec/portfolio.h):
-  /// copies `base`'s immutable precomputation (dependency graphs,
-  /// patterns, pattern index, f1), *shares* its thread-safe substrate
+  /// copies `base`'s immutable precomputation (patterns, pattern index,
+  /// f1), *shares* its dependency graphs and its thread-safe substrate
   /// (frequency evaluators with their memo caches and trace indices,
   /// the metric registry), and binds this context to the per-worker
   /// `governor` so racing strategies trip their own budgets
@@ -100,8 +109,8 @@ class MatchingContext {
 
   const EventLog& log1() const { return *log1_; }
   const EventLog& log2() const { return *log2_; }
-  const DependencyGraph& graph1() const { return graph1_; }
-  const DependencyGraph& graph2() const { return graph2_; }
+  const DependencyGraph& graph1() const { return *graph1_; }
+  const DependencyGraph& graph2() const { return *graph2_; }
 
   const std::vector<Pattern>& patterns() const { return patterns_; }
   std::size_t num_patterns() const { return patterns_.size(); }
@@ -203,8 +212,9 @@ class MatchingContext {
  private:
   const EventLog* log1_;
   const EventLog* log2_;
-  DependencyGraph graph1_;
-  DependencyGraph graph2_;
+  // Immutable once built, so siblings share them.
+  std::shared_ptr<const DependencyGraph> graph1_;
+  std::shared_ptr<const DependencyGraph> graph2_;
   std::vector<Pattern> patterns_;
   PatternIndex pattern_index_;
   // Shared (not unique): portfolio siblings reuse the base context's

@@ -68,10 +68,11 @@ std::vector<NoiseSweepPoint> RunNoiseSweep(const MatchingTask& clean,
     const std::unique_ptr<FallbackMatcher> ladder =
         FallbackMatcher::ExactWithHeuristicFallbacks(astar, fallback);
 
-    const DependencyGraph g1 = DependencyGraph::Build(corrupted.log1);
-    MatchingContext context(
-        corrupted.log1, corrupted.log2,
-        BuildPatternSet(g1, corrupted.complex_patterns));
+    DependencyGraph g1 = DependencyGraph::Build(corrupted.log1);
+    std::vector<Pattern> patterns =
+        BuildPatternSet(g1, corrupted.complex_patterns);
+    MatchingContext context(corrupted.log1, corrupted.log2, std::move(g1),
+                            std::move(patterns));
     RecordCorruptionMetrics(point.report, context.metrics());
     point.record = RunMatcher(*ladder, context, &corrupted.ground_truth);
     point.recovery =

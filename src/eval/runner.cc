@@ -56,9 +56,10 @@ RunRecord RunMatcher(const Matcher& matcher, MatchingContext& context,
 }
 
 RunRecord RunMatcherOnTask(const Matcher& matcher, const MatchingTask& task) {
-  const DependencyGraph g1 = DependencyGraph::Build(task.log1);
-  MatchingContext context(task.log1, task.log2,
-                          BuildPatternSet(g1, task.complex_patterns));
+  DependencyGraph g1 = DependencyGraph::Build(task.log1);
+  std::vector<Pattern> patterns = BuildPatternSet(g1, task.complex_patterns);
+  MatchingContext context(task.log1, task.log2, std::move(g1),
+                          std::move(patterns));
   const Mapping* truth =
       task.ground_truth.num_sources() > 0 ? &task.ground_truth : nullptr;
   return RunMatcher(matcher, context, truth);

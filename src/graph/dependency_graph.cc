@@ -1,40 +1,17 @@
 #include "graph/dependency_graph.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <numeric>
 
 #include "common/check.h"
+#include "graph/incremental_dependency_graph.h"
 
 namespace hematch {
 
 DependencyGraph DependencyGraph::Build(const EventLog& log) {
-  const std::size_t n = log.num_events();
-  std::vector<std::size_t> vertex_support(n, 0);
-  std::unordered_map<std::uint64_t, std::size_t> edge_support;
-  std::vector<bool> seen(n, false);
-  std::unordered_set<std::uint64_t> seen_pairs;
-
-  for (const Trace& trace : log.traces()) {
-    std::fill(seen.begin(), seen.end(), false);
-    seen_pairs.clear();
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      const EventId v = trace[i];
-      if (!seen[v]) {
-        seen[v] = true;
-        ++vertex_support[v];
-      }
-      if (i + 1 < trace.size()) {
-        // Count each distinct consecutive pair once per trace: frequencies
-        // are "the number of traces where u v occur consecutively at least
-        // once" (Definition 1).
-        const std::uint64_t key = PairKey(v, trace[i + 1]);
-        if (seen_pairs.insert(key).second) {
-          ++edge_support[key];
-        }
-      }
-    }
-  }
-  return FromSupports(log.num_traces(), vertex_support, edge_support);
+  IncrementalDependencyGraph supports;
+  supports.AddLog(log);
+  return supports.Snapshot();
 }
 
 DependencyGraph DependencyGraph::FromSupports(
@@ -44,7 +21,12 @@ DependencyGraph DependencyGraph::FromSupports(
   const std::size_t n = vertex_support.size();
   g.vertex_freq_.assign(n, 0.0);
   g.out_.assign(n, {});
+  g.out_freq_.assign(n, {});
   g.in_.assign(n, {});
+  g.incident_.assign(n, {});
+  g.vertices_by_frequency_.resize(n);
+  std::iota(g.vertices_by_frequency_.begin(), g.vertices_by_frequency_.end(),
+            EventId{0});
   if (num_traces == 0) {
     return g;
   }
@@ -52,25 +34,42 @@ DependencyGraph DependencyGraph::FromSupports(
   for (EventId v = 0; v < n; ++v) {
     g.vertex_freq_[v] = vertex_support[v] * inv;
   }
-  for (const auto& [key, support] : edge_support) {
+  // Hash iteration order is nondeterministic; visiting the pairs in
+  // (u, v) order makes every neighbour list come out ascending.
+  std::vector<std::pair<std::uint64_t, std::size_t>> pairs(
+      edge_support.begin(), edge_support.end());
+  std::sort(pairs.begin(), pairs.end());
+  for (const auto& [key, support] : pairs) {
     if (support == 0) {
       continue;  // Zero-frequency pairs are not edges.
     }
     const EventId u = static_cast<EventId>(key >> 32);
     const EventId v = static_cast<EventId>(key & 0xffffffffULL);
     HEMATCH_CHECK(u < n && v < n, "edge support references unknown events");
-    g.edge_freq_.emplace(key, support * inv);
+    const double freq = support * inv;
     g.out_[u].push_back(v);
+    g.out_freq_[u].push_back(freq);
     g.in_[v].push_back(u);
+    g.incident_[u].emplace_back(v, freq);
+    if (u != v) {
+      g.incident_[v].emplace_back(u, freq);
+    }
     g.edge_list_.emplace_back(u, v);
+    g.edges_by_frequency_.push_back({u, v, freq});
   }
-  // Hash iteration order is nondeterministic; sort for reproducible output.
-  std::sort(g.edge_list_.begin(), g.edge_list_.end());
-  for (auto& neighbors : g.out_) {
-    std::sort(neighbors.begin(), neighbors.end());
-  }
-  for (auto& neighbors : g.in_) {
-    std::sort(neighbors.begin(), neighbors.end());
+  std::stable_sort(g.vertices_by_frequency_.begin(),
+                   g.vertices_by_frequency_.end(), [&g](EventId a, EventId b) {
+                     return g.vertex_freq_[a] > g.vertex_freq_[b];
+                   });
+  std::stable_sort(g.edges_by_frequency_.begin(), g.edges_by_frequency_.end(),
+                   [](const WeightedEdge& a, const WeightedEdge& b) {
+                     return a.frequency > b.frequency;
+                   });
+  for (auto& incident : g.incident_) {
+    std::stable_sort(incident.begin(), incident.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.second > b.second;
+                     });
   }
   return g;
 }
@@ -83,8 +82,12 @@ double DependencyGraph::VertexFrequency(EventId v) const {
 }
 
 double DependencyGraph::EdgeFrequency(EventId u, EventId v) const {
-  auto it = edge_freq_.find(PairKey(u, v));
-  return it == edge_freq_.end() ? 0.0 : it->second;
+  if (u >= out_.size()) {
+    return 0.0;
+  }
+  const std::vector<EventId>& out = out_[u];
+  const auto it = std::lower_bound(out.begin(), out.end(), v);
+  return it == out.end() || *it != v ? 0.0 : out_freq_[u][it - out.begin()];
 }
 
 const std::vector<EventId>& DependencyGraph::OutNeighbors(EventId u) const {
@@ -110,13 +113,16 @@ double DependencyGraph::MaxVertexFrequency(
 
 double DependencyGraph::MaxInducedEdgeFrequency(
     const std::vector<EventId>& vertices) const {
-  std::unordered_set<EventId> in_set(vertices.begin(), vertices.end());
+  std::vector<char> in_set(num_vertices(), 0);
+  for (EventId v : vertices) {
+    if (v < in_set.size()) in_set[v] = 1;
+  }
   double best = 0.0;
   for (EventId u : vertices) {
     if (u >= out_.size()) continue;
-    for (EventId v : out_[u]) {
-      if (in_set.count(v) > 0) {
-        best = std::max(best, EdgeFrequency(u, v));
+    for (std::size_t i = 0; i < out_[u].size(); ++i) {
+      if (in_set[out_[u][i]] != 0) {
+        best = std::max(best, out_freq_[u][i]);
       }
     }
   }

@@ -21,7 +21,7 @@ namespace hematch {
 class DependencyGraph {
  public:
   /// Builds the dependency graph of `log` in one pass
-  /// (O(total log length)).
+  /// (O(total log length)) through `IncrementalDependencyGraph`.
   static DependencyGraph Build(const EventLog& log);
 
   /// Builds a graph directly from per-trace supports: `vertex_support[v]`
@@ -47,37 +47,63 @@ class DependencyGraph {
     return EdgeFrequency(u, v) > 0.0;
   }
 
-  /// Successors of `u` (targets of positive-frequency edges).
+  /// Successors of `u` (targets of positive-frequency edges), ascending.
   const std::vector<EventId>& OutNeighbors(EventId u) const;
 
   /// Predecessors of `u` (sources of positive-frequency edges).
   const std::vector<EventId>& InNeighbors(EventId u) const;
 
-  /// All edges as (source, target) pairs.
+  /// The edges touching `u` either way (a self-loop once) as (other
+  /// endpoint, frequency), by descending frequency: the first one found
+  /// here with its other endpoint in a set is `u`'s heaviest edge into it.
+  const std::vector<std::pair<EventId, double>>& IncidentByFrequency(
+      EventId u) const {
+    return incident_[u];
+  }
+
+  /// All edges as (source, target) pairs, ascending.
   const std::vector<std::pair<EventId, EventId>>& edges() const {
     return edge_list_;
+  }
+
+  /// An edge with its frequency.
+  struct WeightedEdge {
+    EventId from, to;
+    double frequency;
+  };
+
+  /// Every vertex by descending frequency (ties by id). The first vertex
+  /// of a set found in this order carries the set's largest frequency.
+  const std::vector<EventId>& vertices_by_frequency() const {
+    return vertices_by_frequency_;
+  }
+
+  /// Every edge, self-loops included, by descending frequency (ties by
+  /// (from, to)). The first edge found here with both endpoints in a set
+  /// is the heaviest edge of the subgraph that set induces.
+  const std::vector<WeightedEdge>& edges_by_frequency() const {
+    return edges_by_frequency_;
   }
 
   /// Largest vertex frequency among `vertices` (0 if the set is empty).
   double MaxVertexFrequency(const std::vector<EventId>& vertices) const;
 
   /// Largest edge frequency within the subgraph induced by `vertices`
-  /// (0 if that subgraph has no edges). Used by the tight bound of
-  /// Algorithm 2, where `vertices` is the unmapped-event set `U2`.
+  /// (0 if that subgraph has no edges): the from-scratch form of the
+  /// tight bound's edge ceiling (core/bounding.h), by neighbour scan.
   double MaxInducedEdgeFrequency(const std::vector<EventId>& vertices) const;
 
  private:
   DependencyGraph() = default;
 
-  static std::uint64_t PairKey(EventId u, EventId v) {
-    return (static_cast<std::uint64_t>(u) << 32) | v;
-  }
-
   std::vector<double> vertex_freq_;
-  std::unordered_map<std::uint64_t, double> edge_freq_;
   std::vector<std::vector<EventId>> out_;
+  std::vector<std::vector<double>> out_freq_;  // Beside out_.
   std::vector<std::vector<EventId>> in_;
+  std::vector<std::vector<std::pair<EventId, double>>> incident_;
   std::vector<std::pair<EventId, EventId>> edge_list_;
+  std::vector<EventId> vertices_by_frequency_;
+  std::vector<WeightedEdge> edges_by_frequency_;
 };
 
 }  // namespace hematch

@@ -63,10 +63,6 @@ double IncrementalDependencyGraph::EdgeFrequency(EventId u, EventId v) const {
          static_cast<double>(num_traces_);
 }
 
-std::size_t IncrementalDependencyGraph::VertexSupport(EventId v) const {
-  return v < vertex_support_.size() ? vertex_support_[v] : 0;
-}
-
 std::size_t IncrementalDependencyGraph::EdgeSupport(EventId u,
                                                     EventId v) const {
   auto it = edge_support_.find(PairKey(u, v));

@@ -46,7 +46,6 @@ class IncrementalDependencyGraph {
   double EdgeFrequency(EventId u, EventId v) const;
 
   /// Raw supports (trace counts).
-  std::size_t VertexSupport(EventId v) const;
   std::size_t EdgeSupport(EventId u, EventId v) const;
 
   /// Materializes the equivalent batch `DependencyGraph` (by replaying

@@ -22,10 +22,17 @@ Pattern::Pattern(Kind kind, EventId event, std::vector<Pattern> children)
     : kind_(kind), event_(event), children_(std::move(children)) {
   if (kind_ == Kind::kEvent) {
     events_.push_back(event_);
-  } else {
-    for (const Pattern& child : children_) {
-      events_.insert(events_.end(), child.events_.begin(),
-                     child.events_.end());
+    return;
+  }
+  for (const Pattern& child : children_) {
+    events_.insert(events_.end(), child.events_.begin(), child.events_.end());
+    linearizations_ = SaturatingMul(linearizations_, child.linearizations_,
+                                    kMaxLinearizations);
+  }
+  if (kind_ == Kind::kAnd) {
+    // The children's blocks may come in any of their k! orders.
+    for (std::uint64_t k = 2; k <= children_.size(); ++k) {
+      linearizations_ = SaturatingMul(linearizations_, k, kMaxLinearizations);
     }
   }
 }
@@ -92,33 +99,6 @@ Pattern Pattern::AndOfEvents(const std::vector<EventId>& events) {
 EventId Pattern::event() const {
   HEMATCH_CHECK(kind_ == Kind::kEvent, "Pattern::event() on composite node");
   return event_;
-}
-
-std::uint64_t Pattern::NumLinearizations() const {
-  switch (kind_) {
-    case Kind::kEvent:
-      return 1;
-    case Kind::kSeq: {
-      std::uint64_t total = 1;
-      for (const Pattern& child : children_) {
-        total = SaturatingMul(total, child.NumLinearizations(),
-                              kMaxLinearizations);
-      }
-      return total;
-    }
-    case Kind::kAnd: {
-      std::uint64_t total = 1;
-      for (const Pattern& child : children_) {
-        total = SaturatingMul(total, child.NumLinearizations(),
-                              kMaxLinearizations);
-      }
-      for (std::uint64_t k = 2; k <= children_.size(); ++k) {
-        total = SaturatingMul(total, k, kMaxLinearizations);
-      }
-      return total;
-    }
-  }
-  return 1;
 }
 
 bool Pattern::IsEdgePattern() const {

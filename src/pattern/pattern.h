@@ -74,8 +74,8 @@ class Pattern {
   /// `w(p) = |I(p)|` — the number of allowed event orders, saturating at
   /// `kMaxLinearizations` to avoid overflow on pathological inputs. Used
   /// by the tight bound (Table 2, cases 2-4: SEQ has w = 1, a flat AND of
-  /// k events has w = k!).
-  std::uint64_t NumLinearizations() const;
+  /// k events has w = k!). Cached at construction, like `events()`.
+  std::uint64_t NumLinearizations() const { return linearizations_; }
 
   /// Saturation limit for `NumLinearizations`.
   static constexpr std::uint64_t kMaxLinearizations = 1ULL << 40;
@@ -104,6 +104,7 @@ class Pattern {
   EventId event_;  // Valid only for kEvent.
   std::vector<Pattern> children_;
   std::vector<EventId> events_;  // Cached V(p).
+  std::uint64_t linearizations_ = 1;  // Cached w(p).
 };
 
 }  // namespace hematch

@@ -146,11 +146,12 @@ Result<std::shared_ptr<WarmContext>> ContextRegistry::Acquire(
   auto warm = std::make_shared<WarmContext>();
   warm->log1 = log1.log;
   warm->log2 = log2.log;
-  const DependencyGraph g1 = DependencyGraph::Build(*warm->log1);
+  DependencyGraph g1 = DependencyGraph::Build(*warm->log1);
+  std::vector<Pattern> patterns = BuildPatternSet(g1, complex);
   ContextTelemetryOptions telemetry;
   telemetry.shared_registry = metrics_;
   warm->base = std::make_unique<MatchingContext>(
-      *warm->log1, *warm->log2, BuildPatternSet(g1, complex), telemetry);
+      *warm->log1, *warm->log2, std::move(g1), std::move(patterns), telemetry);
   // Long scans in the shared evaluators poll this token; hard drain
   // flips it. Per-request budgets go through each sibling's governor,
   // never through the shared evaluators (cross-request cross-talk).

@@ -516,11 +516,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const DependencyGraph g1 = DependencyGraph::Build(*log1);
+  DependencyGraph g1 = DependencyGraph::Build(*log1);
+  std::vector<Pattern> patterns = BuildPatternSet(g1, complex);
   ContextTelemetryOptions context_telemetry;
   context_telemetry.trace_recorder = recorder.get();
-  MatchingContext context(*log1, *log2,
-                          BuildPatternSet(g1, complex), context_telemetry);
+  MatchingContext context(*log1, *log2, std::move(g1), std::move(patterns),
+                          context_telemetry);
   if (corrupted) {
     RecordCorruptionMetrics(corruption, context.metrics());
   }
@@ -564,7 +565,7 @@ int main(int argc, char** argv) {
     }
     exec::PortfolioRunner runner(RaceCard(pipeline), popts);
     Result<exec::PortfolioOutcome> raced =
-        runner.Run(*log1, *log2, BuildPatternSet(g1, complex));
+        runner.Run(*log1, *log2, context.patterns());
     if (!raced.ok()) {
       std::cerr << "portfolio failed: " << raced.status() << "\n";
       return 1;
@@ -726,13 +727,11 @@ int main(int argc, char** argv) {
     extend = false;
   }
   if (extend && best_mapping != nullptr) {
-    const std::vector<Pattern> pattern_set =
-        BuildPatternSet(g1, complex);
     OneToNOptions one_to_n;
     context.ArmBudget(run_budget, &g_interrupt);
     one_to_n.governor = &context.governor();
-    Result<GroupMapping> groups =
-        ExtendToOneToN(*log1, *log2, pattern_set, *best_mapping, one_to_n);
+    Result<GroupMapping> groups = ExtendToOneToN(
+        *log1, *log2, context.patterns(), *best_mapping, one_to_n);
     context.governor().Disarm();
     if (!groups.ok()) {
       std::cerr << "1-to-n extension failed: " << groups.status() << "\n";
