@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks for the library's hot primitives:
-// dependency-graph construction, pattern frequency evaluation, the
-// window-membership test, the per-child h bound, Kuhn-Munkres, and subgraph
-// isomorphism. These are the per-operation costs behind the figure
-// harnesses' end-to-end times.
+// the per-log index build (dependency graph and trace indexes), pattern
+// frequency evaluation, the window-membership test, the per-child h bound,
+// Kuhn-Munkres, and subgraph isomorphism. These are the per-operation
+// costs behind the figure harnesses' end-to-end times.
 
 #include <benchmark/benchmark.h>
 
@@ -16,8 +16,8 @@
 #include "core/pattern_set.h"
 #include "core/search_common.h"
 #include "exec/portfolio.h"
-#include "freq/bitmap_index.h"
 #include "freq/frequency_evaluator.h"
+#include "freq/log_index.h"
 #include "freq/trace_matcher.h"
 #include "pattern/pattern_language.h"
 #include "gen/bus_process.h"
@@ -48,24 +48,18 @@ const MatchingTask& SyntheticTask() {
   return *task;
 }
 
-void BM_DependencyGraphBuild(benchmark::State& state) {
+// One walk over a 3,000-trace bus log: the dependency graph, the posting
+// lists and the bitmap rows together (freq/log_index.h).
+void BM_LogIndexBuild(benchmark::State& state) {
   const EventLog& log = BusTask().log1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(DependencyGraph::Build(log));
+    LogIndex index(log);
+    benchmark::DoNotOptimize(index);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(log.TotalLength()));
 }
-BENCHMARK(BM_DependencyGraphBuild);
-
-void BM_TraceIndexBuild(benchmark::State& state) {
-  const EventLog& log = SyntheticTask().log1;
-  for (auto _ : state) {
-    TraceIndex index(log);
-    benchmark::DoNotOptimize(index);
-  }
-}
-BENCHMARK(BM_TraceIndexBuild);
+BENCHMARK(BM_LogIndexBuild);
 
 void BM_WindowMembership(benchmark::State& state) {
   // SEQ(A, AND(B,C), D)-shaped pattern over a matching window.
@@ -145,17 +139,17 @@ void BM_CandidateTraces(benchmark::State& state) {
   const MatchingTask& task = SyntheticTask();
   const std::vector<EventId>& events = task.complex_patterns[0].events();
   if (state.range(0) == 0) {
-    const TraceIndex index(task.log1);
+    const LogIndex index(task.log1);
     std::vector<std::uint32_t> out;
     for (auto _ : state) {
-      index.CandidateTracesInto(events, out);
+      index.postings().CandidateTracesInto(events, out);
       benchmark::DoNotOptimize(out);
     }
   } else {
-    const BitmapTraceIndex bitmap(task.log1);
+    const LogIndex index(task.log1);
     std::vector<std::uint64_t> words;
     for (auto _ : state) {
-      bitmap.IntersectInto(events, words);
+      index.bitmap().IntersectInto(events, words);
       benchmark::DoNotOptimize(words);
     }
   }

@@ -18,8 +18,8 @@
 #include "exec/parallel_astar.h"
 #include "exec/portfolio.h"
 #include "exec/watchdog.h"
+#include "freq/log_index.h"
 #include "gen/pattern_miner.h"
-#include "graph/dependency_graph.h"
 #include "pattern/pattern_parser.h"
 
 namespace hematch {
@@ -168,7 +168,7 @@ Result<MatchPipelineOutcome> MatchLogs(const EventLog& log1,
     pattern_span.AddArg("mined", options.mine_patterns ? 1.0 : 0.0);
   }
 
-  DependencyGraph g1 = DependencyGraph::Build(source);
+  const auto index1 = std::make_shared<const LogIndex>(source);
 
   if (options.portfolio && IsExact(options.method)) {
     // Hedged mode: race the method's rungs on worker threads instead of
@@ -186,7 +186,7 @@ Result<MatchPipelineOutcome> MatchLogs(const EventLog& log1,
     exec::PortfolioRunner runner(RaceCard(options), popts);
     HEMATCH_ASSIGN_OR_RETURN(
         exec::PortfolioOutcome portfolio,
-        runner.Run(source, target, BuildPatternSet(g1, complex)));
+        runner.Run(source, target, BuildPatternSet(index1->graph(), complex)));
     outcome.result = std::move(portfolio.result);
     outcome.termination = outcome.result.termination;
     // Every strategy always runs in a race, so the ladder's "more than
@@ -202,9 +202,9 @@ Result<MatchPipelineOutcome> MatchLogs(const EventLog& log1,
   telemetry.enabled = options.telemetry;
   telemetry.tracer = options.tracer;
   telemetry.trace_recorder = recorder;
-  std::vector<Pattern> patterns = BuildPatternSet(g1, complex);
-  MatchingContext context(source, target, std::move(g1), std::move(patterns),
-                          telemetry);
+  std::vector<Pattern> patterns = BuildPatternSet(index1->graph(), complex);
+  MatchingContext context(index1, std::make_shared<const LogIndex>(target),
+                          std::move(patterns), telemetry);
   std::unique_ptr<Matcher> matcher = MakeMatcher(options);
   if (matcher == nullptr) {
     return Status::InvalidArgument("unknown match method");

@@ -22,7 +22,7 @@ Result<MatchResult> VertexEdgeMatcher::Match(MatchingContext& context) const {
   telemetry.shared_governor = &context.governor();
   telemetry.trace_recorder = context.trace_recorder();
   MatchingContext restricted(
-      context.log1(), context.log2(),
+      context.index1(), context.index2(),
       BuildPatternSet(context.graph1(), /*complex_patterns=*/{}, set_options),
       telemetry);
 

@@ -16,21 +16,18 @@ std::vector<std::vector<EventId>> PatternEventSets(
 
 }  // namespace
 
-MatchingContext::MatchingContext(const EventLog& log1, const EventLog& log2,
-                                 DependencyGraph graph1,
+MatchingContext::MatchingContext(std::shared_ptr<const LogIndex> index1,
+                                 std::shared_ptr<const LogIndex> index2,
                                  std::vector<Pattern> patterns,
                                  ContextTelemetryOptions telemetry,
                                  ContextPrecomputeOptions precompute)
-    : log1_(&log1),
-      log2_(&log2),
-      graph1_(std::make_shared<const DependencyGraph>(std::move(graph1))),
-      graph2_(std::make_shared<const DependencyGraph>(
-          DependencyGraph::Build(log2))),
+    : index1_(std::move(index1)),
+      index2_(std::move(index2)),
       patterns_(std::move(patterns)),
-      pattern_index_(log1.num_events(), PatternEventSets(patterns_)),
-      eval1_(std::make_shared<FrequencyEvaluator>(log1)),
-      eval2_(std::make_shared<FrequencyEvaluator>(log2)),
-      cooc2_(std::make_shared<CooccurrenceIndex>(log2)),
+      pattern_index_(index1_->log().num_events(), PatternEventSets(patterns_)),
+      eval1_(std::make_shared<FrequencyEvaluator>(index1_)),
+      eval2_(std::make_shared<FrequencyEvaluator>(index2_)),
+      cooc2_(std::make_shared<CooccurrenceIndex>(index2_)),
       owned_metrics_(telemetry.shared_registry != nullptr
                          ? nullptr
                          : std::make_unique<obs::MetricsRegistry>(
@@ -82,9 +79,9 @@ MatchingContext::MatchingContext(const EventLog& log1, const EventLog& log2,
   f1_.reserve(patterns_.size());
   for (const Pattern& p : patterns_) {
     if (p.IsVertexPattern()) {
-      f1_.push_back(graph1_->VertexFrequency(p.event()));
+      f1_.push_back(graph1().VertexFrequency(p.event()));
     } else if (p.IsEdgePattern()) {
-      f1_.push_back(graph1_->EdgeFrequency(p.events()[0], p.events()[1]));
+      f1_.push_back(graph1().EdgeFrequency(p.events()[0], p.events()[1]));
     } else {
       f1_.push_back(eval1_->Frequency(p));
     }
@@ -93,10 +90,8 @@ MatchingContext::MatchingContext(const EventLog& log1, const EventLog& log2,
 
 MatchingContext::MatchingContext(const MatchingContext& base,
                                  exec::ExecutionGovernor* governor)
-    : log1_(base.log1_),
-      log2_(base.log2_),
-      graph1_(base.graph1_),
-      graph2_(base.graph2_),
+    : index1_(base.index1_),
+      index2_(base.index2_),
       patterns_(base.patterns_),
       pattern_index_(base.pattern_index_),
       eval1_(base.eval1_),
@@ -137,15 +132,15 @@ const CooccurrenceIndex& MatchingContext::cooccurrence2() {
 
 double MatchingContext::PatternFrequency2(const Pattern& translated,
                                           ExistenceCheckMode mode) {
+  const DependencyGraph& g2 = graph2();
   if (translated.IsVertexPattern()) {
-    return graph2_->VertexFrequency(translated.event());
+    return g2.VertexFrequency(translated.event());
   }
   if (translated.IsEdgePattern()) {
-    return graph2_->EdgeFrequency(translated.events()[0],
-                                  translated.events()[1]);
+    return g2.EdgeFrequency(translated.events()[0], translated.events()[1]);
   }
   existence_checks_->Increment();
-  if (!PatternMayExist(translated, *graph2_, mode)) {
+  if (!PatternMayExist(translated, g2, mode)) {
     existence_pruned_->Increment();
     return 0.0;  // Proposition 3: no trace can match.
   }
@@ -169,16 +164,13 @@ void ExportEvaluatorStats(const FrequencyEvaluator& eval,
   snapshot.counters[prefix + "path.bitmap"] = s.bitmap_scans;
   snapshot.counters[prefix + "path.postings"] = s.postings_scans;
   snapshot.counters[prefix + "path.fullscan"] = s.full_scans;
-  const TraceIndex::Stats& ix = eval.trace_index().stats();
-  snapshot.counters[prefix + "index.candidate_queries"] = ix.candidate_queries;
-  snapshot.counters[prefix + "index.postings_scanned"] = ix.postings_scanned;
+  // One index lookup per indexed scan, by the path it took.
+  snapshot.counters[prefix + "index.candidate_queries"] = s.postings_scans;
+  snapshot.counters[prefix + "index.postings_scanned"] = s.postings_probed;
   snapshot.counters[prefix + "index.candidates_yielded"] =
-      ix.candidates_yielded;
-  if (const BitmapTraceIndex* bitmap = eval.bitmap_index()) {
-    snapshot.counters[prefix + "bitmap.queries"] = bitmap->stats().queries;
-    snapshot.counters[prefix + "bitmap.words_anded"] =
-        bitmap->stats().words_anded;
-  }
+      s.candidates_yielded;
+  snapshot.counters[prefix + "bitmap.queries"] = s.bitmap_scans;
+  snapshot.counters[prefix + "bitmap.words_anded"] = s.words_anded;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "freq/existence_pruner.h"
 #include "freq/frequency_evaluator.h"
 #include "freq/inverted_index.h"
+#include "freq/log_index.h"
 #include "graph/dependency_graph.h"
 #include "log/event_log.h"
 #include "obs/metrics.h"
@@ -65,9 +66,10 @@ struct ContextPrecomputeOptions {
 };
 
 /// Everything the matching algorithms need about one (L1, L2, P) problem
-/// instance, computed once and shared: dependency graphs, frequency
-/// evaluators with their inverted indices (`It`), the pattern inverted
-/// index (`Ip`), and the source-side pattern frequencies `f1(p)`.
+/// instance, computed once and shared: both logs' `LogIndex`es (the
+/// dependency graphs and trace inverted indices `It`), the frequency
+/// evaluators over them, the pattern inverted index (`Ip`), and the
+/// source-side pattern frequencies `f1(p)`.
 ///
 /// The logs must outlive the context. The context is stateful only through
 /// the target-side evaluator's memo cache; all matchers of one experiment
@@ -80,19 +82,22 @@ class MatchingContext {
                   std::vector<Pattern> patterns,
                   ContextTelemetryOptions telemetry = {},
                   ContextPrecomputeOptions precompute = {})
-      : MatchingContext(log1, log2, DependencyGraph::Build(log1),
+      : MatchingContext(std::make_shared<const LogIndex>(log1),
+                        std::make_shared<const LogIndex>(log2),
                         std::move(patterns), telemetry, precompute) {}
 
-  /// As above, with `log1`'s dependency graph already built (callers that
-  /// ran `BuildPatternSet` over it move it in rather than build it twice).
-  MatchingContext(const EventLog& log1, const EventLog& log2,
-                  DependencyGraph graph1, std::vector<Pattern> patterns,
+  /// As above, over indexes already built (callers that ran
+  /// `BuildPatternSet` over `index1->graph()`, or that reuse a log's
+  /// index across pairs, pass it in rather than walk the log again).
+  MatchingContext(std::shared_ptr<const LogIndex> index1,
+                  std::shared_ptr<const LogIndex> index2,
+                  std::vector<Pattern> patterns,
                   ContextTelemetryOptions telemetry = {},
                   ContextPrecomputeOptions precompute = {});
 
   /// Sibling constructor for portfolio workers (see exec/portfolio.h):
   /// copies `base`'s immutable precomputation (patterns, pattern index,
-  /// f1), *shares* its dependency graphs and its thread-safe substrate
+  /// f1), *shares* its log indexes and its thread-safe substrate
   /// (frequency evaluators with their memo caches and trace indices,
   /// the metric registry), and binds this context to the per-worker
   /// `governor` so racing strategies trip their own budgets
@@ -107,10 +112,12 @@ class MatchingContext {
   MatchingContext(const MatchingContext&) = delete;
   MatchingContext& operator=(const MatchingContext&) = delete;
 
-  const EventLog& log1() const { return *log1_; }
-  const EventLog& log2() const { return *log2_; }
-  const DependencyGraph& graph1() const { return *graph1_; }
-  const DependencyGraph& graph2() const { return *graph2_; }
+  const EventLog& log1() const { return index1_->log(); }
+  const EventLog& log2() const { return index2_->log(); }
+  const DependencyGraph& graph1() const { return index1_->graph(); }
+  const DependencyGraph& graph2() const { return index2_->graph(); }
+  const std::shared_ptr<const LogIndex>& index1() const { return index1_; }
+  const std::shared_ptr<const LogIndex>& index2() const { return index2_; }
 
   const std::vector<Pattern>& patterns() const { return patterns_; }
   std::size_t num_patterns() const { return patterns_.size(); }
@@ -118,8 +125,8 @@ class MatchingContext {
   /// The pattern inverted index `Ip` over `log1`'s events.
   const PatternIndex& pattern_index() const { return pattern_index_; }
 
-  std::size_t num_sources() const { return log1_->num_events(); }
-  std::size_t num_targets() const { return log2_->num_events(); }
+  std::size_t num_sources() const { return log1().num_events(); }
+  std::size_t num_targets() const { return log2().num_events(); }
 
   /// Precomputed `f1(patterns()[pid])`.
   double PatternFrequency1(std::size_t pid) const { return f1_[pid]; }
@@ -205,16 +212,14 @@ class MatchingContext {
   }
 
   /// Everything the context knows, frozen: the registry's metrics plus
-  /// the frequency evaluators' and trace indices' work counters under
-  /// `freq1.` / `freq2.`. Empty when telemetry is disabled.
+  /// the frequency evaluators' work counters, index lookups included,
+  /// under `freq1.` / `freq2.`. Empty when telemetry is disabled.
   obs::TelemetrySnapshot SnapshotTelemetry() const;
 
  private:
-  const EventLog* log1_;
-  const EventLog* log2_;
   // Immutable once built, so siblings share them.
-  std::shared_ptr<const DependencyGraph> graph1_;
-  std::shared_ptr<const DependencyGraph> graph2_;
+  std::shared_ptr<const LogIndex> index1_;
+  std::shared_ptr<const LogIndex> index2_;
   std::vector<Pattern> patterns_;
   PatternIndex pattern_index_;
   // Shared (not unique): portfolio siblings reuse the base context's

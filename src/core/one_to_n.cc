@@ -33,10 +33,14 @@ EventLog BuildMergedLog(const EventLog& log2,
   return merged;
 }
 
-double ScoreAgainstMerged(const EventLog& log1, const EventLog& merged,
+/// `index1` is built once per extension: only the target side changes
+/// between candidate merges.
+double ScoreAgainstMerged(const std::shared_ptr<const LogIndex>& index1,
+                          const EventLog& merged,
                           const std::vector<Pattern>& patterns,
                           const Mapping& base, const ScorerOptions& scorer) {
-  MatchingContext context(log1, merged, patterns);
+  MatchingContext context(index1, std::make_shared<const LogIndex>(merged),
+                          patterns);
   MappingScorer mapping_scorer(context, scorer);
   return mapping_scorer.ComputeG(base);
 }
@@ -60,9 +64,10 @@ Result<GroupMapping> ExtendToOneToN(const EventLog& log1,
     representative[e] = e;
   }
 
+  const auto index1 = std::make_shared<const LogIndex>(log1);
   GroupMapping result;
   result.base_objective = ScoreAgainstMerged(
-      log1, BuildMergedLog(log2, representative), patterns, base,
+      index1, BuildMergedLog(log2, representative), patterns, base,
       options.scorer);
   result.objective = result.base_objective;
 
@@ -109,7 +114,7 @@ Result<GroupMapping> ExtendToOneToN(const EventLog& log1,
         const EventId t = base.TargetOf(v1);
         representative[u] = t;
         const double score = ScoreAgainstMerged(
-            log1, BuildMergedLog(log2, representative), patterns, base,
+            index1, BuildMergedLog(log2, representative), patterns, base,
             options.scorer);
         representative[u] = u;
         if (score > best_score) {

@@ -5,7 +5,7 @@
 #include "api/fallback_matcher.h"
 #include "common/check.h"
 #include "core/pattern_set.h"
-#include "graph/dependency_graph.h"
+#include "freq/log_index.h"
 
 namespace hematch {
 
@@ -68,10 +68,11 @@ std::vector<NoiseSweepPoint> RunNoiseSweep(const MatchingTask& clean,
     const std::unique_ptr<FallbackMatcher> ladder =
         FallbackMatcher::ExactWithHeuristicFallbacks(astar, fallback);
 
-    DependencyGraph g1 = DependencyGraph::Build(corrupted.log1);
+    auto index1 = std::make_shared<const LogIndex>(corrupted.log1);
     std::vector<Pattern> patterns =
-        BuildPatternSet(g1, corrupted.complex_patterns);
-    MatchingContext context(corrupted.log1, corrupted.log2, std::move(g1),
+        BuildPatternSet(index1->graph(), corrupted.complex_patterns);
+    MatchingContext context(std::move(index1),
+                            std::make_shared<const LogIndex>(corrupted.log2),
                             std::move(patterns));
     RecordCorruptionMetrics(point.report, context.metrics());
     point.record = RunMatcher(*ladder, context, &corrupted.ground_truth);

@@ -1,7 +1,7 @@
 #include "eval/runner.h"
 
 #include "core/pattern_set.h"
-#include "graph/dependency_graph.h"
+#include "freq/log_index.h"
 
 namespace hematch {
 
@@ -56,9 +56,11 @@ RunRecord RunMatcher(const Matcher& matcher, MatchingContext& context,
 }
 
 RunRecord RunMatcherOnTask(const Matcher& matcher, const MatchingTask& task) {
-  DependencyGraph g1 = DependencyGraph::Build(task.log1);
-  std::vector<Pattern> patterns = BuildPatternSet(g1, task.complex_patterns);
-  MatchingContext context(task.log1, task.log2, std::move(g1),
+  auto index1 = std::make_shared<const LogIndex>(task.log1);
+  std::vector<Pattern> patterns =
+      BuildPatternSet(index1->graph(), task.complex_patterns);
+  MatchingContext context(std::move(index1),
+                          std::make_shared<const LogIndex>(task.log2),
                           std::move(patterns));
   const Mapping* truth =
       task.ground_truth.num_sources() > 0 ? &task.ground_truth : nullptr;

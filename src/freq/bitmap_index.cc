@@ -4,20 +4,6 @@
 
 namespace hematch {
 
-BitmapTraceIndex::BitmapTraceIndex(const EventLog& log)
-    : num_traces_(log.num_traces()),
-      num_events_(log.num_events()),
-      words_((log.num_traces() + 63) / 64) {
-  bits_.assign(num_events_ * words_, 0);
-  for (std::uint32_t t = 0; t < num_traces_; ++t) {
-    const std::uint64_t word_bit = 1ull << (t % 64);
-    const std::size_t word = t / 64;
-    for (EventId v : log.traces()[t]) {
-      bits_[v * words_ + word] |= word_bit;
-    }
-  }
-}
-
 std::span<const std::uint64_t> BitmapTraceIndex::Row(EventId v) const {
   if (v >= num_events_) {
     return {};
@@ -26,8 +12,8 @@ std::span<const std::uint64_t> BitmapTraceIndex::Row(EventId v) const {
 }
 
 bool BitmapTraceIndex::IntersectInto(std::span<const EventId> events,
-                                     std::vector<std::uint64_t>& out) const {
-  stats_.queries.fetch_add(1, std::memory_order_relaxed);
+                                     std::vector<std::uint64_t>& out,
+                                     std::uint64_t* words_anded) const {
   out.assign(words_, 0);
   if (events.empty()) {
     // Every trace: all bits up to num_traces_ set.
@@ -49,8 +35,8 @@ bool BitmapTraceIndex::IntersectInto(std::span<const EventId> events,
     const std::span<const std::uint64_t> row = Row(events[i]);
     if (row.empty()) {
       std::fill(out.begin(), out.end(), 0);
-      stats_.words_anded.fetch_add(touched, std::memory_order_relaxed);
-      return false;
+      any = false;
+      break;
     }
     std::uint64_t acc = 0;
     for (std::size_t w = 0; w < words_; ++w) {
@@ -60,7 +46,9 @@ bool BitmapTraceIndex::IntersectInto(std::span<const EventId> events,
     touched += words_;
     any = acc != 0;
   }
-  stats_.words_anded.fetch_add(touched, std::memory_order_relaxed);
+  if (words_anded != nullptr) {
+    *words_anded += touched;
+  }
   return any;
 }
 

@@ -2,20 +2,21 @@
 
 #include <bit>
 #include <chrono>
+#include <utility>
 
 namespace hematch {
 
-CooccurrenceIndex::CooccurrenceIndex(const EventLog& log)
-    : log_(&log), num_events_(log.num_events()) {}
+CooccurrenceIndex::CooccurrenceIndex(std::shared_ptr<const LogIndex> index)
+    : index_(std::move(index)), num_events_(index_->log().num_events()) {}
 
 void CooccurrenceIndex::EnsureBuilt() {
   std::call_once(build_once_, [this] {
     const auto start = std::chrono::steady_clock::now();
     const std::size_t n = num_events_;
     matrix_.assign(n * n, 0.0);
-    const std::size_t traces = log_->num_traces();
+    const std::size_t traces = index_->num_traces();
     if (traces > 0 && n > 0) {
-      const BitmapTraceIndex bitmap(*log_);
+      const BitmapTraceIndex& bitmap = index_->bitmap();
       const double inv = 1.0 / static_cast<double>(traces);
       for (EventId a = 0; a < n; ++a) {
         const std::span<const std::uint64_t> row_a = bitmap.Row(a);

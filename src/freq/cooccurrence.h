@@ -3,11 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
-#include "freq/bitmap_index.h"
-#include "log/event_log.h"
+#include "freq/log_index.h"
 
 namespace hematch {
 
@@ -23,15 +23,14 @@ namespace hematch {
 /// bound stays admissible because every cap is a true upper bound on
 /// the reachable `f2` (see core/bounding.h).
 ///
-/// The matrix is `num_events^2` doubles, built once from the word-level
-/// `BitmapTraceIndex` (one row-AND + popcount per pair). Construction
+/// The matrix is `num_events^2` doubles, built once from the log index's
+/// bitmap rows (one row-AND + popcount per pair). Construction
 /// is lazy and thread-safe so portfolio/parallel-A* siblings can share
 /// one instance via `MatchingContext`.
 class CooccurrenceIndex {
  public:
-  /// Binds to `log`; nothing is computed until `EnsureBuilt`. The log
-  /// must outlive the index.
-  explicit CooccurrenceIndex(const EventLog& log);
+  /// Binds to `index`; nothing is computed until `EnsureBuilt`.
+  explicit CooccurrenceIndex(std::shared_ptr<const LogIndex> index);
 
   /// Builds the matrix on first call (thread-safe, idempotent).
   /// Subsequent `At` / `MaxPairAmong` calls are lock-free reads.
@@ -59,7 +58,7 @@ class CooccurrenceIndex {
   double build_ms() const { return build_ms_; }
 
  private:
-  const EventLog* log_;
+  std::shared_ptr<const LogIndex> index_;
   std::size_t num_events_ = 0;
   std::vector<double> matrix_;  // Row-major num_events_^2, in [0, 1].
   std::once_flag build_once_;

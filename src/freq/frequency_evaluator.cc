@@ -37,13 +37,9 @@ EvalScratch& ThreadScratch() {
 
 }  // namespace
 
-FrequencyEvaluator::FrequencyEvaluator(const EventLog& log,
+FrequencyEvaluator::FrequencyEvaluator(std::shared_ptr<const LogIndex> index,
                                        FrequencyEvaluatorOptions options)
-    : log_(&log), options_(options), trace_index_(log) {
-  if (options_.use_bitmap_index) {
-    bitmap_.emplace(log);
-  }
-}
+    : index_(std::move(index)), options_(options) {}
 
 void FrequencyEvaluator::CacheInsert(std::uint64_t key, std::size_t support,
                                      const Pattern& pattern) {
@@ -104,11 +100,13 @@ std::size_t FrequencyEvaluator::Support(const Pattern& pattern) {
   // found on the way drives the bitmap-vs-postings choice below. The
   // unindexed path skips this so it stays a genuinely independent
   // brute-force oracle for the differential tests.
+  const TraceIndex& postings = index_->postings();
+  const BitmapTraceIndex& bitmap = index_->bitmap();
   std::size_t shortest_len = 0;
   if (options_.use_trace_index) {
-    shortest_len = log_->num_traces();
+    shortest_len = index_->num_traces();
     for (EventId v : events) {
-      shortest_len = std::min(shortest_len, trace_index_.Postings(v).size());
+      shortest_len = std::min(shortest_len, postings.Postings(v).size());
     }
     if (!events.empty() && shortest_len == 0) {
       stats_.empty_shortcuts.fetch_add(1, std::memory_order_relaxed);
@@ -144,7 +142,7 @@ std::size_t FrequencyEvaluator::Support(const Pattern& pattern) {
                ? TraceMatchesPattern(trace, scratch.pattern, &match_stats)
                : TraceMatchesPatternHashed(trace, pattern, &match_stats);
   };
-  const std::vector<Trace>& traces = log_->traces();
+  const std::vector<Trace>& traces = index_->log().traces();
 
   if (!options_.use_trace_index) {
     stats_.full_scans.fetch_add(1, std::memory_order_relaxed);
@@ -161,16 +159,18 @@ std::size_t FrequencyEvaluator::Support(const Pattern& pattern) {
   } else {
     // Bitmap unless the shortest posting list is so short that galloping
     // intersection touches less memory than the row ANDs.
-    bool use_bitmap = bitmap_.has_value();
+    bool use_bitmap = options_.use_bitmap_index;
     if (use_bitmap && options_.postings_fallback_ratio > 0 &&
         shortest_len * options_.postings_fallback_ratio <
-            bitmap_->words_per_row()) {
+            bitmap.words_per_row()) {
       use_bitmap = false;
     }
     if (use_bitmap) {
       path_code = 1;
       stats_.bitmap_scans.fetch_add(1, std::memory_order_relaxed);
-      bitmap_->IntersectInto(events, scratch.words);
+      std::uint64_t words_anded = 0;
+      bitmap.IntersectInto(events, scratch.words, &words_anded);
+      stats_.words_anded.fetch_add(words_anded, std::memory_order_relaxed);
       for (std::size_t w = 0; w < scratch.words.size() && !aborted; ++w) {
         std::uint64_t word = scratch.words[w];
         while (word != 0) {
@@ -191,7 +191,11 @@ std::size_t FrequencyEvaluator::Support(const Pattern& pattern) {
     } else {
       path_code = 2;
       stats_.postings_scans.fetch_add(1, std::memory_order_relaxed);
-      trace_index_.CandidateTracesInto(events, scratch.candidates);
+      std::uint64_t probes = 0;
+      postings.CandidateTracesInto(events, scratch.candidates, &probes);
+      stats_.postings_probed.fetch_add(probes, std::memory_order_relaxed);
+      stats_.candidates_yielded.fetch_add(scratch.candidates.size(),
+                                          std::memory_order_relaxed);
       for (std::uint32_t t : scratch.candidates) {
         if (should_stop()) {
           aborted = true;
@@ -270,11 +274,12 @@ FrequencyEvaluator::PrecomputeStats FrequencyEvaluator::PrecomputeAll(
 }
 
 double FrequencyEvaluator::Frequency(const Pattern& pattern) {
-  if (log_->num_traces() == 0) {
+  const std::size_t num_traces = index_->num_traces();
+  if (num_traces == 0) {
     return 0.0;
   }
   return static_cast<double>(Support(pattern)) /
-         static_cast<double>(log_->num_traces());
+         static_cast<double>(num_traces);
 }
 
 }  // namespace hematch

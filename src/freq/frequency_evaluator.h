@@ -3,15 +3,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
 
 #include "exec/budget.h"
-#include "freq/bitmap_index.h"
-#include "freq/inverted_index.h"
+#include "freq/log_index.h"
 #include "freq/trace_matcher.h"
 #include "log/event_log.h"
 #include "obs/metrics.h"
@@ -31,8 +30,8 @@ struct FrequencyEvaluatorOptions {
   /// Generate candidates from the word-level `BitmapTraceIndex` (bitwise
   /// row ANDs) instead of merging posting lists, except when the
   /// sparse-pattern heuristic below picks the posting lists. When false
-  /// the bitmap is not even built and every indexed scan uses posting
-  /// lists.
+  /// every indexed scan uses posting lists. This only steers the scan
+  /// path: the shared `LogIndex` always builds the bitmap rows.
   bool use_bitmap_index = true;
   /// Candidate scans below which the posting-list path wins: when the
   /// shortest posting list times this ratio is smaller than the bitmap
@@ -73,8 +72,9 @@ struct FrequencyEvaluatorOptions {
 /// Computes normalized pattern frequencies `f(p)` over one event log
 /// (Definition 4 and Section 3.2.3).
 ///
-/// The evaluator owns two forms of the trace index — bitmap rows for
-/// dense events, posting lists for sparse ones — and picks per query:
+/// The evaluator reads two forms of the trace index from a shared
+/// `LogIndex` — bitmap rows for dense events, posting lists for sparse
+/// ones — and picks per query:
 /// an empty posting list short-circuits to support 0, a very short one
 /// routes through galloping posting-list intersection, everything else
 /// through word-level bitmap ANDs. Candidate traces are then matched by
@@ -91,9 +91,15 @@ struct FrequencyEvaluatorOptions {
 /// it describes.
 class FrequencyEvaluator {
  public:
-  /// `log` must outlive the evaluator.
-  explicit FrequencyEvaluator(const EventLog& log,
+  /// Evaluates over `index`'s log; the index is shared, never written.
+  explicit FrequencyEvaluator(std::shared_ptr<const LogIndex> index,
                               FrequencyEvaluatorOptions options = {});
+
+  /// Builds an index of `log` for this evaluator alone. `log` must
+  /// outlive the evaluator.
+  explicit FrequencyEvaluator(const EventLog& log,
+                              FrequencyEvaluatorOptions options = {})
+      : FrequencyEvaluator(std::make_shared<const LogIndex>(log), options) {}
 
   FrequencyEvaluator(const FrequencyEvaluator&) = delete;
   FrequencyEvaluator& operator=(const FrequencyEvaluator&) = delete;
@@ -138,13 +144,6 @@ class FrequencyEvaluator {
                                 const PrecomputeOptions& options);
   PrecomputeStats PrecomputeAll(std::span<const Pattern> patterns) {
     return PrecomputeAll(patterns, PrecomputeOptions());
-  }
-
-  const EventLog& log() const { return *log_; }
-  const TraceIndex& trace_index() const { return trace_index_; }
-  /// The bitmap index, or null when `use_bitmap_index` is off.
-  const BitmapTraceIndex* bitmap_index() const {
-    return bitmap_.has_value() ? &*bitmap_ : nullptr;
   }
 
   /// Cooperative cancellation: long scans poll `cancel` every few dozen
@@ -202,6 +201,10 @@ class FrequencyEvaluator {
     std::atomic<std::uint64_t> bitmap_scans{0};    ///< Bitmap-AND candidates.
     std::atomic<std::uint64_t> postings_scans{0};  ///< Posting-list merges.
     std::atomic<std::uint64_t> full_scans{0};      ///< Unindexed scans.
+    // Index lookup work, counted here so the shared index stays immutable.
+    std::atomic<std::uint64_t> postings_probed{0};  ///< Galloping probes.
+    std::atomic<std::uint64_t> candidates_yielded{0};  ///< Posting-path ids.
+    std::atomic<std::uint64_t> words_anded{0};         ///< Bitmap words read.
   };
   const Stats& stats() const { return stats_; }
 
@@ -225,10 +228,8 @@ class FrequencyEvaluator {
   void CacheInsert(std::uint64_t key, std::size_t support,
                    const Pattern& pattern);
 
-  const EventLog* log_;
+  std::shared_ptr<const LogIndex> index_;
   FrequencyEvaluatorOptions options_;
-  TraceIndex trace_index_;
-  std::optional<BitmapTraceIndex> bitmap_;
   /// Guards `cache_`, `cache_bytes_`, and the cap fields of `options_`.
   /// Never held across a trace scan.
   mutable std::mutex cache_mu_;

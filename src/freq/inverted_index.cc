@@ -4,18 +4,6 @@
 
 namespace hematch {
 
-TraceIndex::TraceIndex(const EventLog& log) : num_traces_(log.num_traces()) {
-  postings_.assign(log.num_events(), {});
-  for (std::uint32_t t = 0; t < log.num_traces(); ++t) {
-    for (EventId v : log.traces()[t]) {
-      std::vector<std::uint32_t>& list = postings_[v];
-      if (list.empty() || list.back() != t) {
-        list.push_back(t);  // Trace ids arrive in order; dedup adjacents.
-      }
-    }
-  }
-}
-
 const std::vector<std::uint32_t>& TraceIndex::Postings(EventId v) const {
   if (v >= postings_.size()) {
     return empty_;
@@ -27,7 +15,7 @@ namespace {
 
 /// First index in `[lo, list.size())` whose value is >= `target`:
 /// exponential probe from `lo`, then binary search over the bracketed
-/// range. `probes` counts list elements examined (for the index stats).
+/// range. `probes` counts list elements examined.
 std::size_t GallopTo(const std::vector<std::uint32_t>& list, std::size_t lo,
                      std::uint32_t target, std::uint64_t& probes) {
   std::size_t step = 1;
@@ -53,23 +41,15 @@ std::size_t GallopTo(const std::vector<std::uint32_t>& list, std::size_t lo,
 
 }  // namespace
 
-std::vector<std::uint32_t> TraceIndex::CandidateTraces(
-    std::span<const EventId> events) const {
-  std::vector<std::uint32_t> result;
-  CandidateTracesInto(events, result);
-  return result;
-}
-
 void TraceIndex::CandidateTracesInto(std::span<const EventId> events,
-                                     std::vector<std::uint32_t>& out) const {
-  ++stats_.candidate_queries;
+                                     std::vector<std::uint32_t>& out,
+                                     std::uint64_t* postings_scanned) const {
   out.clear();
   if (events.empty()) {
     out.resize(num_traces_);
     for (std::uint32_t t = 0; t < num_traces_; ++t) {
       out[t] = t;
     }
-    stats_.candidates_yielded += out.size();
     return;
   }
   // The shortest posting list seeds the candidate set; every other list
@@ -107,8 +87,9 @@ void TraceIndex::CandidateTracesInto(std::span<const EventId> events,
     }
     out.resize(kept);
   }
-  stats_.postings_scanned += probes;
-  stats_.candidates_yielded += out.size();
+  if (postings_scanned != nullptr) {
+    *postings_scanned += probes;
+  }
 }
 
 PatternIndex::PatternIndex(

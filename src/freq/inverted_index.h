@@ -1,7 +1,6 @@
 #ifndef HEMATCH_FREQ_INVERTED_INDEX_H_
 #define HEMATCH_FREQ_INVERTED_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -13,12 +12,10 @@ namespace hematch {
 /// The trace inverted index `It` of Section 3.2.3: for each event `v`, the
 /// sorted list of trace ids containing `v`. Pattern frequency evaluation
 /// scans only the intersection of the posting lists of the pattern's
-/// events instead of the whole log.
+/// events instead of the whole log. Built by `LogIndex`
+/// (freq/log_index.h) in its one walk over the log; immutable after.
 class TraceIndex {
  public:
-  /// Builds the index in one pass over `log`.
-  explicit TraceIndex(const EventLog& log);
-
   /// Posting list of `v` (sorted, deduplicated trace ids). Out-of-range
   /// events have an empty list.
   const std::vector<std::uint32_t>& Postings(EventId v) const;
@@ -32,36 +29,35 @@ class TraceIndex {
   /// event costs O(min_len * k * log(max_len / min_len)) instead of the
   /// sum of all list lengths a pairwise linear merge pays.
   std::vector<std::uint32_t> CandidateTraces(
-      std::span<const EventId> events) const;
+      std::span<const EventId> events) const {
+    std::vector<std::uint32_t> result;
+    CandidateTracesInto(events, result);
+    return result;
+  }
 
   /// Allocation-free variant: writes the intersection into `out`
   /// (cleared first; storage reused across calls). The frequency
   /// evaluator's hot path uses this with a per-thread scratch buffer.
+  /// When `postings_scanned` is given, adds the posting entries probed
+  /// to it: with galloping advance these are binary-search probes, not
+  /// whole lists.
   void CandidateTracesInto(std::span<const EventId> events,
-                           std::vector<std::uint32_t>& out) const;
-
-  std::size_t num_traces() const { return num_traces_; }
-
-  /// Cumulative lookup-side work counters (`CandidateTraces` only; the
-  /// one-off build cost is not counted). Mutable because lookups are
-  /// logically const; atomic because portfolio workers share one index
-  /// through a shared evaluator. Read fields directly (implicit relaxed
-  /// load); promoted into telemetry snapshots under `freq{1,2}.index.`.
-  struct Stats {
-    std::atomic<std::uint64_t> candidate_queries{0};  ///< CandidateTraces().
-    /// Posting entries probed. With galloping advance this counts binary
-    /// search probes, not whole lists — the metric's drop versus a linear
-    /// merge is exactly the satellite win it exists to show.
-    std::atomic<std::uint64_t> postings_scanned{0};
-    std::atomic<std::uint64_t> candidates_yielded{0};  ///< Ids returned.
-  };
-  const Stats& stats() const { return stats_; }
+                           std::vector<std::uint32_t>& out,
+                           std::uint64_t* postings_scanned = nullptr) const;
 
  private:
+  friend class LogIndex;
+
+  TraceIndex(std::size_t num_events, std::size_t num_traces)
+      : postings_(num_events), num_traces_(num_traces) {}
+
+  /// Appends trace `t` to `v`'s list; called once per (trace, event), in
+  /// trace order, so every list comes out sorted and deduplicated.
+  void Add(std::uint32_t t, EventId v) { postings_[v].push_back(t); }
+
   std::vector<std::vector<std::uint32_t>> postings_;
   std::vector<std::uint32_t> empty_;
   std::size_t num_traces_ = 0;
-  mutable Stats stats_;
 };
 
 /// The pattern inverted index `Ip` of Section 3.2.1: for each event `v`,

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "freq/frequency_evaluator.h"
-#include "graph/dependency_graph.h"
 
 namespace hematch {
 
@@ -39,8 +38,9 @@ std::string ShapeKey(const Pattern& p) {
 
 std::vector<Pattern> MineDiscriminativePatterns(
     const EventLog& log, const PatternMinerOptions& options) {
-  const DependencyGraph graph = DependencyGraph::Build(log);
-  FrequencyEvaluator evaluator(log);
+  const auto index = std::make_shared<const LogIndex>(log);
+  const DependencyGraph& graph = index->graph();
+  FrequencyEvaluator evaluator(index);
   std::vector<Candidate> candidates;
 
   // --- SEQ chains, Apriori-style over dependency edges. ---

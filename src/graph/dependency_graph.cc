@@ -1,29 +1,41 @@
 #include "graph/dependency_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "common/check.h"
-#include "graph/incremental_dependency_graph.h"
 
 namespace hematch {
 
-DependencyGraph DependencyGraph::Build(const EventLog& log) {
-  IncrementalDependencyGraph supports;
-  supports.AddLog(log);
-  return supports.Snapshot();
+// The pair table starts with room for two pairs per event at half load.
+DependencyGraph::Counter::Counter(std::size_t num_events)
+    : vertex_stamp(num_events, 0),
+      vertex_support(num_events, 0),
+      slots(std::bit_ceil(std::max<std::size_t>(16, 4 * num_events))),
+      shift(64 - std::countr_zero(slots.size())) {}
+
+void DependencyGraph::Counter::Grow() {
+  std::vector<Slot> old(2 * slots.size());
+  old.swap(slots);
+  --shift;
+  for (const Slot& slot : old) {
+    if (slot.stamp == 0) continue;
+    std::size_t i = Home(slot.key);
+    while (slots[i].stamp != 0) i = (i + 1) & (slots.size() - 1);
+    slots[i] = slot;
+  }
 }
 
-DependencyGraph DependencyGraph::FromSupports(
-    std::size_t num_traces, const std::vector<std::size_t>& vertex_support,
-    const std::unordered_map<std::uint64_t, std::size_t>& edge_support) {
+DependencyGraph DependencyGraph::FromCounts(std::size_t num_traces,
+                                            Counter counts) {
   DependencyGraph g;
-  const std::size_t n = vertex_support.size();
+  const std::size_t n = counts.vertex_support.size();
   g.vertex_freq_.assign(n, 0.0);
-  g.out_.assign(n, {});
-  g.out_freq_.assign(n, {});
-  g.in_.assign(n, {});
-  g.incident_.assign(n, {});
+  g.out_.resize(n);
+  g.out_freq_.resize(n);
+  g.in_.resize(n);
+  g.incident_.resize(n);
   g.vertices_by_frequency_.resize(n);
   std::iota(g.vertices_by_frequency_.begin(), g.vertices_by_frequency_.end(),
             EventId{0});
@@ -32,21 +44,37 @@ DependencyGraph DependencyGraph::FromSupports(
   }
   const double inv = 1.0 / static_cast<double>(num_traces);
   for (EventId v = 0; v < n; ++v) {
-    g.vertex_freq_[v] = vertex_support[v] * inv;
+    g.vertex_freq_[v] = counts.vertex_support[v] * inv;
   }
-  // Hash iteration order is nondeterministic; visiting the pairs in
-  // (u, v) order makes every neighbour list come out ascending.
-  std::vector<std::pair<std::uint64_t, std::size_t>> pairs(
-      edge_support.begin(), edge_support.end());
-  std::sort(pairs.begin(), pairs.end());
-  for (const auto& [key, support] : pairs) {
-    if (support == 0) {
-      continue;  // Zero-frequency pairs are not edges.
-    }
-    const EventId u = static_cast<EventId>(key >> 32);
-    const EventId v = static_cast<EventId>(key & 0xffffffffULL);
-    HEMATCH_CHECK(u < n && v < n, "edge support references unknown events");
-    const double freq = support * inv;
+  // Visiting the pairs in (u, v) order makes every neighbour list come
+  // out ascending.
+  std::vector<Counter::Slot>& pairs = counts.slots;
+  std::erase_if(pairs, [](const Counter::Slot& s) { return s.stamp == 0; });
+  std::sort(pairs.begin(), pairs.end(),
+            [](const auto& a, const auto& b) { return a.key < b.key; });
+  std::vector<std::uint32_t> out_degree(n, 0);
+  std::vector<std::uint32_t> in_degree(n, 0);
+  std::vector<std::uint32_t> incident_degree(n, 0);  // A self-loop once.
+  for (const Counter::Slot& pair : pairs) {
+    const auto u = static_cast<EventId>(pair.key >> 32);
+    const auto v = static_cast<EventId>(pair.key);
+    ++out_degree[u];
+    ++in_degree[v];
+    ++incident_degree[u];
+    incident_degree[v] += u != v ? 1 : 0;
+  }
+  for (EventId v = 0; v < n; ++v) {
+    g.out_[v].reserve(out_degree[v]);
+    g.out_freq_[v].reserve(out_degree[v]);
+    g.in_[v].reserve(in_degree[v]);
+    g.incident_[v].reserve(incident_degree[v]);
+  }
+  g.edge_list_.reserve(pairs.size());
+  g.edges_by_frequency_.reserve(pairs.size());
+  for (const Counter::Slot& pair : pairs) {
+    const auto u = static_cast<EventId>(pair.key >> 32);
+    const auto v = static_cast<EventId>(pair.key);
+    const double freq = pair.support * inv;
     g.out_[u].push_back(v);
     g.out_freq_[u].push_back(freq);
     g.in_[v].push_back(u);

@@ -2,7 +2,7 @@
 #define HEMATCH_GRAPH_DEPENDENCY_GRAPH_H_
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -20,16 +20,19 @@ namespace hematch {
 /// edges of the graph ("we ignore those edges with frequency 0").
 class DependencyGraph {
  public:
-  /// Builds the dependency graph of `log` in one pass
-  /// (O(total log length)) through `IncrementalDependencyGraph`.
-  static DependencyGraph Build(const EventLog& log);
+  /// Builds the dependency graph of `log` in one walk over its traces
+  /// (O(total log length)).
+  static DependencyGraph Build(const EventLog& log) {
+    return Build(log, [](std::uint32_t, EventId) {});
+  }
 
-  /// Builds a graph directly from per-trace supports: `vertex_support[v]`
-  /// traces contain `v`; `edge_support[(u << 32) | v]` traces contain the
-  /// consecutive pair `u v`. Used by the incremental maintenance path.
-  static DependencyGraph FromSupports(
-      std::size_t num_traces, const std::vector<std::size_t>& vertex_support,
-      const std::unordered_map<std::uint64_t, std::size_t>& edge_support);
+  /// The same walk, calling `on_first(t, v)` once for each trace `t` and
+  /// each distinct event `v` of it, in trace order. `LogIndex`
+  /// (freq/log_index.h) fills its posting lists and bitmap rows from
+  /// this hook, so one walk over the log serves every per-log structure.
+  template <typename OnFirstOccurrence>
+  static DependencyGraph Build(const EventLog& log,
+                               OnFirstOccurrence&& on_first);
 
   /// Number of events (vertices).
   std::size_t num_vertices() const { return vertex_freq_.size(); }
@@ -94,7 +97,64 @@ class DependencyGraph {
   double MaxInducedEdgeFrequency(const std::vector<EventId>& vertices) const;
 
  private:
+  /// The walk's counting state. Each vertex and each distinct
+  /// consecutive pair keeps its support and the stamp (trace id + 1) of
+  /// the last trace that counted it, so a trace counts each once without
+  /// a per-trace set. Pairs live in a flat open-addressing table keyed by
+  /// `(u << 32) | v`, where `stamp == 0` marks an empty slot.
+  struct Counter {
+    struct Slot {
+      std::uint64_t key = 0;
+      std::uint32_t stamp = 0;
+      std::uint32_t support = 0;
+    };
+
+    explicit Counter(std::size_t num_events);
+
+    /// True the first time the trace stamped `stamp` counts `v`.
+    bool CountVertex(EventId v, std::uint32_t stamp) {
+      if (vertex_stamp[v] == stamp) return false;
+      vertex_stamp[v] = stamp;
+      ++vertex_support[v];
+      return true;
+    }
+
+    void CountEdge(EventId u, EventId v, std::uint32_t stamp) {
+      const std::uint64_t key = (std::uint64_t{u} << 32) | v;
+      std::size_t i = Home(key);
+      while (slots[i].stamp != 0 && slots[i].key != key) {
+        i = (i + 1) & (slots.size() - 1);
+      }
+      Slot& slot = slots[i];
+      if (slot.stamp == 0) {
+        slot = {key, stamp, 1};
+        if (2 * ++used > slots.size()) Grow();
+      } else if (slot.stamp != stamp) {
+        slot.stamp = stamp;
+        ++slot.support;
+      }
+    }
+
+    /// Fibonacci hashing: the top bits of `key * 2^64 / phi`.
+    std::size_t Home(std::uint64_t key) const {
+      return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
+    }
+
+    /// Doubles the table once it is more than half full.
+    void Grow();
+
+    std::vector<std::uint32_t> vertex_stamp;
+    std::vector<std::uint32_t> vertex_support;
+    std::vector<Slot> slots;
+    int shift = 0;
+    std::size_t used = 0;
+  };
+
   DependencyGraph() = default;
+
+  /// The graph of a walk over `num_traces` traces: every per-vertex
+  /// vector is sized from the counted degrees before it is filled.
+  static DependencyGraph FromCounts(std::size_t num_traces, Counter counts);
 
   std::vector<double> vertex_freq_;
   std::vector<std::vector<EventId>> out_;
@@ -105,6 +165,26 @@ class DependencyGraph {
   std::vector<EventId> vertices_by_frequency_;
   std::vector<WeightedEdge> edges_by_frequency_;
 };
+
+template <typename OnFirstOccurrence>
+DependencyGraph DependencyGraph::Build(const EventLog& log,
+                                       OnFirstOccurrence&& on_first) {
+  const std::vector<Trace>& traces = log.traces();
+  Counter counter(log.num_events());
+  for (std::uint32_t t = 0; t < traces.size(); ++t) {
+    const Trace& trace = traces[t];
+    const std::uint32_t stamp = t + 1;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      if (counter.CountVertex(trace[i], stamp)) {
+        on_first(t, trace[i]);
+      }
+      if (i + 1 < trace.size()) {
+        counter.CountEdge(trace[i], trace[i + 1], stamp);
+      }
+    }
+  }
+  return FromCounts(traces.size(), std::move(counter));
+}
 
 }  // namespace hematch
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/pattern_set.h"
-#include "graph/dependency_graph.h"
 #include "pattern/pattern_parser.h"
 #include "serve/fingerprint.h"
 
@@ -19,6 +18,7 @@ Result<RegisteredLog> LogRegistry::Register(const std::string& name,
   entry.fingerprint = FingerprintLog(log);
   entry.fingerprint_hex = FingerprintHex(entry.fingerprint);
   entry.log = std::make_shared<const EventLog>(std::move(log));
+  entry.index = std::make_shared<const LogIndex>(*entry.log);
 
   std::lock_guard<std::mutex> lock(mu_);
   auto existing = by_name_.find(name);
@@ -146,12 +146,11 @@ Result<std::shared_ptr<WarmContext>> ContextRegistry::Acquire(
   auto warm = std::make_shared<WarmContext>();
   warm->log1 = log1.log;
   warm->log2 = log2.log;
-  DependencyGraph g1 = DependencyGraph::Build(*warm->log1);
-  std::vector<Pattern> patterns = BuildPatternSet(g1, complex);
+  std::vector<Pattern> patterns = BuildPatternSet(log1.index->graph(), complex);
   ContextTelemetryOptions telemetry;
   telemetry.shared_registry = metrics_;
   warm->base = std::make_unique<MatchingContext>(
-      *warm->log1, *warm->log2, std::move(g1), std::move(patterns), telemetry);
+      log1.index, log2.index, std::move(patterns), telemetry);
   // Long scans in the shared evaluators poll this token; hard drain
   // flips it. Per-request budgets go through each sibling's governor,
   // never through the shared evaluators (cross-request cross-talk).

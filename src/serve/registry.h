@@ -41,6 +41,9 @@ struct RegisteredLog {
   std::uint64_t fingerprint = 0;
   std::string fingerprint_hex;
   std::shared_ptr<const EventLog> log;
+  /// Built once at registration over `log`; every context of a pair that
+  /// uses this log shares it.
+  std::shared_ptr<const LogIndex> index;
 };
 
 /// Name/fingerprint → immutable `EventLog`. Registration is explicit

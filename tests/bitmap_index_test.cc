@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "freq/inverted_index.h"
+#include "freq/log_index.h"
 
 namespace hematch {
 namespace {
@@ -39,8 +40,9 @@ std::vector<std::uint32_t> DecodeBits(const std::vector<std::uint64_t>& words) {
 
 TEST(BitmapTraceIndexTest, RowsMirrorPostingLists) {
   const EventLog log = MakeLog();
-  const BitmapTraceIndex bitmap(log);
-  const TraceIndex postings(log);
+  const LogIndex index(log);
+  const BitmapTraceIndex& bitmap = index.bitmap();
+  const TraceIndex& postings = index.postings();
   EXPECT_EQ(bitmap.num_traces(), 4u);
   EXPECT_EQ(bitmap.words_per_row(), 1u);
   for (EventId v = 0; v < log.num_events(); ++v) {
@@ -51,7 +53,9 @@ TEST(BitmapTraceIndexTest, RowsMirrorPostingLists) {
 }
 
 TEST(BitmapTraceIndexTest, OutOfVocabularyRowIsEmpty) {
-  const BitmapTraceIndex bitmap(MakeLog());
+  const EventLog log = MakeLog();
+  const LogIndex index(log);
+  const BitmapTraceIndex& bitmap = index.bitmap();
   EXPECT_TRUE(bitmap.Row(99).empty());
   std::vector<std::uint64_t> out;
   const std::vector<EventId> events = {0, 99};
@@ -66,7 +70,8 @@ TEST(BitmapTraceIndexTest, EmptyEventSetSelectsEveryTraceWithMaskedTail) {
   for (int t = 0; t < 70; ++t) {
     log.AddTraceByNames({"A"});
   }
-  const BitmapTraceIndex bitmap(log);
+  const LogIndex index(log);
+  const BitmapTraceIndex& bitmap = index.bitmap();
   EXPECT_EQ(bitmap.words_per_row(), 2u);
   std::vector<std::uint64_t> out;
   EXPECT_TRUE(bitmap.IntersectInto({}, out));
@@ -76,19 +81,21 @@ TEST(BitmapTraceIndexTest, EmptyEventSetSelectsEveryTraceWithMaskedTail) {
 
 TEST(BitmapTraceIndexTest, IntersectMatchesPostingListIntersection) {
   const EventLog log = MakeLog();
-  const BitmapTraceIndex bitmap(log);
-  const TraceIndex postings(log);
+  const LogIndex index(log);
+  const BitmapTraceIndex& bitmap = index.bitmap();
+  const TraceIndex& postings = index.postings();
   std::vector<std::uint64_t> out;
   const std::vector<std::vector<EventId>> queries = {
       {0}, {1}, {0, 1}, {1, 2}, {0, 1, 2}, {2, 0}};
+  std::uint64_t words_anded = 0;
   for (const std::vector<EventId>& q : queries) {
-    const bool any = bitmap.IntersectInto(q, out);
+    const bool any = bitmap.IntersectInto(q, out, &words_anded);
     const std::vector<std::uint32_t> expected = postings.CandidateTraces(q);
     EXPECT_EQ(DecodeBits(out), expected);
     EXPECT_EQ(any, !expected.empty());
   }
-  EXPECT_GT(bitmap.stats().queries, 0u);
-  EXPECT_GT(bitmap.stats().words_anded, 0u);
+  // One word per row read: the first row of each query plus one per AND.
+  EXPECT_EQ(words_anded, 11u);
 }
 
 // Property: on random logs the bitmap intersection decodes to exactly the
@@ -106,8 +113,9 @@ TEST_P(BitmapEquivalenceTest, AgreesWithPostingLists) {
     for (EventId& e : trace) e = static_cast<EventId>(rng.NextBounded(6));
     log.AddTrace(std::move(trace));
   }
-  const BitmapTraceIndex bitmap(log);
-  const TraceIndex postings(log);
+  const LogIndex index(log);
+  const BitmapTraceIndex& bitmap = index.bitmap();
+  const TraceIndex& postings = index.postings();
   std::vector<std::uint64_t> out;
   for (int round = 0; round < 40; ++round) {
     std::set<EventId> unique;

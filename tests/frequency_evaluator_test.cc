@@ -211,8 +211,7 @@ TEST(FrequencyEvaluatorTest, PathSelectionIsObservableInStats) {
   bitmap_eval.Support(p);
   EXPECT_EQ(bitmap_eval.stats().bitmap_scans, 1u);
   EXPECT_EQ(bitmap_eval.stats().postings_scans, 0u);
-  ASSERT_NE(bitmap_eval.bitmap_index(), nullptr);
-  EXPECT_GT(bitmap_eval.bitmap_index()->stats().queries, 0u);
+  EXPECT_GT(bitmap_eval.stats().words_anded, 0u);
 
   FrequencyEvaluatorOptions postings_only;
   postings_only.use_bitmap_index = false;
@@ -220,7 +219,8 @@ TEST(FrequencyEvaluatorTest, PathSelectionIsObservableInStats) {
   postings_eval.Support(p);
   EXPECT_EQ(postings_eval.stats().postings_scans, 1u);
   EXPECT_EQ(postings_eval.stats().bitmap_scans, 0u);
-  EXPECT_EQ(postings_eval.bitmap_index(), nullptr);  // Never built.
+  EXPECT_EQ(postings_eval.stats().words_anded, 0u);  // Rows never read.
+  EXPECT_GT(postings_eval.stats().postings_probed, 0u);
 
   FrequencyEvaluatorOptions unindexed;
   unindexed.use_trace_index = false;

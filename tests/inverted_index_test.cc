@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "freq/log_index.h"
 
 namespace hematch {
 namespace {
@@ -22,7 +23,9 @@ EventLog MakeLog() {
 }
 
 TEST(TraceIndexTest, PostingsAreSortedAndDeduplicated) {
-  const TraceIndex index(MakeLog());
+  const EventLog log = MakeLog();
+  const LogIndex log_index(log);
+  const TraceIndex& index = log_index.postings();
   EXPECT_EQ(index.Postings(0), (std::vector<std::uint32_t>{0, 2, 3}));  // A
   EXPECT_EQ(index.Postings(1), (std::vector<std::uint32_t>{0, 1}));     // B
   EXPECT_EQ(index.Postings(2), (std::vector<std::uint32_t>{1, 2}));     // C
@@ -30,7 +33,9 @@ TEST(TraceIndexTest, PostingsAreSortedAndDeduplicated) {
 }
 
 TEST(TraceIndexTest, CandidateTracesIntersects) {
-  const TraceIndex index(MakeLog());
+  const EventLog log = MakeLog();
+  const LogIndex log_index(log);
+  const TraceIndex& index = log_index.postings();
   const std::vector<EventId> ab = {0, 1};
   EXPECT_EQ(index.CandidateTraces(ab), (std::vector<std::uint32_t>{0}));
   const std::vector<EventId> bc = {1, 2};
@@ -40,19 +45,25 @@ TEST(TraceIndexTest, CandidateTracesIntersects) {
 }
 
 TEST(TraceIndexTest, EmptyEventSetYieldsAllTraces) {
-  const TraceIndex index(MakeLog());
+  const EventLog log = MakeLog();
+  const LogIndex log_index(log);
+  const TraceIndex& index = log_index.postings();
   EXPECT_EQ(index.CandidateTraces({}),
             (std::vector<std::uint32_t>{0, 1, 2, 3}));
 }
 
 TEST(TraceIndexTest, SingleEvent) {
-  const TraceIndex index(MakeLog());
+  const EventLog log = MakeLog();
+  const LogIndex log_index(log);
+  const TraceIndex& index = log_index.postings();
   const std::vector<EventId> c = {2};
   EXPECT_EQ(index.CandidateTraces(c), index.Postings(2));
 }
 
 TEST(TraceIndexTest, CandidateTracesIntoReusesTheBuffer) {
-  const TraceIndex index(MakeLog());
+  const EventLog log = MakeLog();
+  const LogIndex log_index(log);
+  const TraceIndex& index = log_index.postings();
   std::vector<std::uint32_t> out = {7, 7, 7};  // Stale content is cleared.
   const std::vector<EventId> ab = {0, 1};
   index.CandidateTracesInto(ab, out);
@@ -87,7 +98,8 @@ TEST_P(GallopingIntersectionTest, AgreesWithSetIntersection) {
     }
     log.AddTrace(std::move(trace));
   }
-  const TraceIndex index(log);
+  const LogIndex log_index(log);
+  const TraceIndex& index = log_index.postings();
   const std::vector<std::vector<EventId>> queries = {
       {0, 3}, {3, 0}, {0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3}, {2, 3, 0}};
   for (const std::vector<EventId>& q : queries) {
@@ -109,7 +121,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GallopingIntersectionTest,
 TEST(TraceIndexTest, EmptyPostingListShortCircuitsIntersection) {
   EventLog log = MakeLog();
   log.InternEvent("GHOST");  // In the vocabulary, in no trace.
-  const TraceIndex index(log);
+  const LogIndex log_index(log);
+  const TraceIndex& index = log_index.postings();
   const std::vector<EventId> q = {0, 3};
   EXPECT_TRUE(index.CandidateTraces(q).empty());
 }

@@ -96,9 +96,9 @@
 #include "eval/table.h"
 #include "exec/budget.h"
 #include "exec/portfolio.h"
+#include "freq/log_index.h"
 #include "gen/log_corruptor.h"
 #include "gen/pattern_miner.h"
-#include "graph/dependency_graph.h"
 #include "log/log_io.h"
 #include "log/xes_io.h"
 #include "exec/watchdog.h"
@@ -516,12 +516,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  DependencyGraph g1 = DependencyGraph::Build(*log1);
-  std::vector<Pattern> patterns = BuildPatternSet(g1, complex);
+  auto index1 = std::make_shared<const LogIndex>(*log1);
+  std::vector<Pattern> patterns = BuildPatternSet(index1->graph(), complex);
   ContextTelemetryOptions context_telemetry;
   context_telemetry.trace_recorder = recorder.get();
-  MatchingContext context(*log1, *log2, std::move(g1), std::move(patterns),
-                          context_telemetry);
+  MatchingContext context(std::move(index1),
+                          std::make_shared<const LogIndex>(*log2),
+                          std::move(patterns), context_telemetry);
   if (corrupted) {
     RecordCorruptionMetrics(corruption, context.metrics());
   }
